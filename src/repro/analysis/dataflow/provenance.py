@@ -40,7 +40,7 @@ RC003 = register_rule(
 RC004 = register_rule(
     "RC004",
     "worker closure captures mutable parent state",
-    "runtime contract: fork workers receive state via _FORK_CTX, not closures",
+    "runtime contract: fork workers receive state via supervisor._FORK_CTX, not closures",
 )
 
 #: Kernels where out= aliasing an operand corrupts the result: they read

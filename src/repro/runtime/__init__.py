@@ -7,8 +7,11 @@ of that discipline for the reproduction's real NumPy numerics:
 * :mod:`~repro.runtime.plan` — declarative execution plans;
 * :mod:`~repro.runtime.arena` — reusable workspace buffers (Solution 1's
   staging, minus the registers);
-* :mod:`~repro.runtime.executor` — nnz-balanced row shards on a process
-  pool with shared-memory factors (Solution 2's batching/parallelism);
+* :mod:`~repro.runtime.executor` — nnz-balanced row shards, serial or on
+  forked workers writing a shared-memory output (Solution 2's
+  batching/parallelism);
+* :mod:`~repro.runtime.supervisor` — the forked-worker supervision the
+  executor shares with the serving fleet;
 * :mod:`~repro.runtime.autotune` — measured plan selection (the
   occupancy-style tile choice);
 * :mod:`~repro.runtime.bench` — the ``repro bench`` harness guarding all

@@ -6,9 +6,9 @@ contiguous nnz-balanced row ranges to thread blocks; this module does the
 same on the host: :func:`repro.core.multi_gpu.partition_rows` splits the
 row space into ``plan.shards`` contiguous ranges of roughly equal nnz,
 and :class:`ShardExecutor` runs them either serially in-process (the
-deterministic default) or on fork-based worker processes whose factor
-matrices live in :mod:`multiprocessing.shared_memory` so workers write
-their row ranges in place with zero serialization of the results.
+deterministic default) or on forked worker processes that write their
+row ranges in place into a :mod:`multiprocessing.shared_memory` output,
+with zero serialization of the results.
 
 Determinism is by construction, not by luck:
 
@@ -26,30 +26,31 @@ Hence the factors are **bit-identical** for any ``shards``/``workers``/
 ``chunk_elems`` choice — the property the VF107 verification rule and
 the runtime test suite pin down.
 
-**Supervision** (see :mod:`repro.resilience`) is opt-in: constructing
-the executor with a :class:`~repro.runtime.plan.SupervisionPolicy`,
-:class:`~repro.resilience.faults.FaultPlan` or
-:class:`~repro.resilience.guards.GuardPolicy` routes half-steps through
-a supervised path — per-shard deadlines, bounded exponential-backoff
-retry, worker-death detection with respawn, and automatic pool→serial
-degradation after repeated faults — all reported on the executor's
-:class:`~repro.resilience.health.RunHealth` log.  Without those, the
-fast paths below are byte-for-byte the unsupervised code (the bench
-gate holds the zero-overhead property).  Supervised pool execution uses
-one fork ``Process`` + result ``Pipe`` per shard instead of a shared
-``Pool``: a SIGKILLed worker surfaces instantly as pipe EOF (no
-deadline wait), a deadline kill cannot corrupt other shards' transport,
-and a retry is just a fresh process — there is no shared pool state to
-poison.
+Workers are forked through :mod:`repro.runtime.supervisor`, which this
+module shares with the serving fleet.  ``half_step`` has two paths: the
+serial path runs the shards in-process, and the pool path forks one
+process + result pipe per shard attempt, at most ``plan.workers`` at a
+time.  A SIGKILLed worker surfaces instantly as pipe EOF, a deadline
+kill cannot corrupt other shards' transport, and a retry is just a
+fresh process — there is no shared pool state to poison.
+
+**Supervision** (see :mod:`repro.resilience`) is policy on top of those
+two paths: a :class:`~repro.runtime.plan.SupervisionPolicy` adds
+per-shard deadlines, bounded exponential-backoff retry and automatic
+pool→serial degradation after repeated faults;
+:class:`~repro.resilience.faults.FaultPlan` and
+:class:`~repro.resilience.guards.GuardPolicy` hook every shard; all of
+it is reported on the executor's
+:class:`~repro.resilience.health.RunHealth` log.  An executor without a
+policy retries nothing and sets no deadline: a shard whose worker dies
+fails the half-step with a ``RuntimeError`` naming the shard.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import warnings
 from dataclasses import dataclass
-from multiprocessing import connection, shared_memory
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from ..core.hermitian import hermitian_rows
 from ..core.multi_gpu import partition_rows
 from ..resilience.faults import InjectedWorkerKill, inject_shard_start, solver_fault_hook
 from ..resilience.health import RunHealth
-from . import sanitizer
+from . import sanitizer, supervisor
 from .arena import Workspace
 from .plan import SERIAL_PLAN, RuntimePlan, SupervisionPolicy
 
@@ -114,9 +115,12 @@ class HalfStepResult:
 
 
 @dataclass(frozen=True)
-class _ShardParams:
-    """Everything a shard needs besides the big arrays (fork-inherited).
+class _HalfStep:
+    """One half-step's inputs: everything a shard needs but its output.
 
+    The pool path forks its workers with this as their context, so the
+    big read-only arrays (CSR triplet, fixed side, warm start, per-nnz
+    weights) reach them copy-on-write, without any pickling.
     ``faults``/``guard`` are the opt-in resilience hooks (a
     :class:`~repro.resilience.faults.FaultPlan` and a
     :class:`~repro.resilience.guards.GuardPolicy`; typed loosely because
@@ -125,31 +129,31 @@ class _ShardParams:
     coordinate.
     """
 
+    ratings: object
+    fixed: np.ndarray
+    warm: np.ndarray | None
     plan: RuntimePlan
+    workspace: Workspace | None
     lam: float
     solver: SolverKind
     cg_config: CGConfig
     precision: Precision
     direct: str
+    gram: np.ndarray | None
     extra_diag: float
+    entry_weights: np.ndarray | None
+    bias_values: np.ndarray | None
     count_weighted_reg: bool
-    faults: object | None = None
-    guard: object | None = None
-    step: int = -1
+    faults: object | None
+    guard: object | None
+    step: int
 
 
 def _compute_shard(
-    ratings,
-    fixed: np.ndarray,
-    warm: np.ndarray | None,
+    job: _HalfStep,
     out: np.ndarray,
     lo: int,
     hi: int,
-    params: _ShardParams,
-    ws: Workspace | None,
-    gram: np.ndarray | None,
-    entry_weights: np.ndarray | None,
-    bias_values: np.ndarray | None,
     shard: int = 0,
     attempt: int = 0,
     forked: bool = False,
@@ -163,12 +167,13 @@ def _compute_shard(
     events: list = []
     if num == 0:
         return 0, 0, events
-    if params.faults is not None:
+    if job.faults is not None:
         inject_shard_start(
-            params.faults, params.step, shard, attempt, forked=forked, events=events
+            job.faults, job.step, shard, attempt, forked=forked, events=events
         )
-    f = fixed.shape[1]
-    plan = params.plan
+    f = job.fixed.shape[1]
+    plan = job.plan
+    ws = job.workspace
     san = sanitizer.enabled()
     if san:
         sanitizer.check_shard_bounds(
@@ -181,28 +186,28 @@ def _compute_shard(
         if san:
             ab_tokens = (ws.generation("exec.A"), ws.generation("exec.b"))
     A, b = hermitian_rows(
-        ratings,
-        fixed,
-        params.lam,
+        job.ratings,
+        job.fixed,
+        job.lam,
         rows=slice(lo, hi),
         chunk_elems=plan.chunk_elems,
-        entry_weights=entry_weights,
-        bias_values=bias_values,
-        count_weighted_reg=params.count_weighted_reg,
+        entry_weights=job.entry_weights,
+        bias_values=job.bias_values,
+        count_weighted_reg=job.count_weighted_reg,
         method=plan.method,
         workspace=ws,
         out=ab_out,
     )
-    if gram is not None:
-        A += gram[None, :, :]
-    if params.extra_diag:
+    if job.gram is not None:
+        A += job.gram[None, :, :]
+    if job.extra_diag:
         diag = np.einsum("rff->rf", A)  # writable view of the diagonals
-        diag += np.float32(params.extra_diag)
-    guard = params.guard
+        diag += np.float32(job.extra_diag)
+    guard = job.guard
     if guard is not None and guard.check_inputs:
         guard.check_normal(A, b, row_offset=lo)
     rows_out = out[lo:hi]
-    warm_rows = None if warm is None else warm[lo:hi]
+    warm_rows = None if job.warm is None else job.warm[lo:hi]
     witness = None
     if san:
         if ws is not None and ab_tokens is not None:
@@ -216,11 +221,11 @@ def _compute_shard(
             # outside-slice snapshot is only sound single-process: under a
             # fork pool the other shards legitimately write those rows
             witness = sanitizer.SliceWitness(out, lo, hi)
-    if params.solver is SolverKind.CG:
+    if job.solver is SolverKind.CG:
         hook = None
-        if params.faults is not None:
+        if job.faults is not None:
             hook = solver_fault_hook(
-                params.faults, params.step, shard, attempt, lo, events
+                job.faults, job.step, shard, attempt, lo, events
             )
         if guard is not None:
             it, mv = guard.solve(
@@ -228,14 +233,14 @@ def _compute_shard(
                 b,
                 warm_rows,
                 rows_out,
-                cg_config=params.cg_config,
-                precision=params.precision,
+                cg_config=job.cg_config,
+                precision=job.precision,
                 workspace=ws,
                 compact=plan.compact_cg,
                 backend=plan.cg_backend,
                 fault_hook=hook,
                 row_offset=lo,
-                step=params.step,
+                step=job.step,
                 shard=shard,
                 attempt=attempt,
                 events=events,
@@ -247,8 +252,8 @@ def _compute_shard(
             A,
             b,
             x0=warm_rows,
-            config=params.cg_config,
-            precision=params.precision,
+            config=job.cg_config,
+            precision=job.precision,
             workspace=ws,
             compact=plan.compact_cg,
             backend=plan.cg_backend,
@@ -258,7 +263,7 @@ def _compute_shard(
         if witness is not None:
             witness.verify(context="_compute_shard (cg solve)")
         return result.iterations, result.matvec_count, events
-    solve = cholesky_solve_batched if params.direct == "cholesky" else lu_solve_batched
+    solve = cholesky_solve_batched if job.direct == "cholesky" else lu_solve_batched
     np.copyto(rows_out, solve(A, b))
     if guard is not None:
         guard.check_factors(rows_out, stage="direct-solve", row_offset=lo)
@@ -267,52 +272,18 @@ def _compute_shard(
     return 0, 0, events
 
 
-# Fork-inherited worker context.  Populated in the parent immediately
-# before the pool forks; children see a copy-on-write snapshot, so the
-# big read-only arrays (CSR triplet, per-nnz weights) cross the process
-# boundary without any pickling.  Only the factor matrices live in
-# shared memory — they are the arrays workers must write back into.
-_FORK_CTX: dict | None = None
-
-
-def _forked_shard(task: tuple[int, int, int, int]) -> tuple[int, int, list]:
-    lo, hi, shard, attempt = task
-    ctx = _FORK_CTX
-    assert ctx is not None, "worker used outside a fork context"
-    fixed = np.ndarray(ctx["fixed_shape"], np.float32, buffer=ctx["fixed_shm"].buf)
-    out = np.ndarray(ctx["out_shape"], np.float32, buffer=ctx["out_shm"].buf)
-    warm = None
-    if ctx["warm_shm"] is not None:
-        warm = np.ndarray(ctx["out_shape"], np.float32, buffer=ctx["warm_shm"].buf)
-    ws = ctx["workspace"]  # each child owns its post-fork copy
-    return _compute_shard(
-        ctx["ratings"],
-        fixed,
-        warm,
-        out,
-        lo,
-        hi,
-        ctx["params"],
-        ws,
-        ctx["gram"],
-        ctx["entry_weights"],
-        ctx["bias_values"],
-        shard=shard,
-        attempt=attempt,
-        forked=True,
-    )
-
-
-def _supervised_worker(task: tuple[int, int, int, int], conn) -> None:
-    """Per-shard fork-process entry: run the shard, send the outcome.
+def _shard_worker(lo: int, hi: int, shard: int, attempt: int, conn) -> None:
+    """Forked shard entry: run one shard attempt, send the outcome.
 
     An injected worker-kill never reaches the ``except`` — it is a real
     ``SIGKILL`` in forked mode, and the parent detects the resulting
     pipe EOF.  Everything else (including a structured
-    ``NumericalFault``) is shipped back for the supervisor to re-raise.
+    ``NumericalFault``) is shipped back for the parent to re-raise.
     """
+    job, out = supervisor.fork_context()
     try:
-        conn.send(("ok", _forked_shard(task)))
+        result = _compute_shard(job, out, lo, hi, shard, attempt, forked=True)
+        conn.send(("ok", result))
     except BaseException as exc:  # noqa: B036 - must forward, not die silent
         try:
             conn.send(("error", exc))
@@ -322,21 +293,10 @@ def _supervised_worker(task: tuple[int, int, int, int], conn) -> None:
         conn.close()
 
 
-def _backoff_sleep(
-    policy: SupervisionPolicy, faults, step: int, shard: int, attempt: int
-) -> float:
-    """The retry sleep for one fault site: exponential base plus jitter.
-
-    The jitter fraction comes from the fault plan's dedicated
-    SeedSequence stream when a plan is active (replayable chaos drills),
-    and is zero otherwise — global RNG state never enters the schedule.
-    """
-    seconds = policy.backoff_seconds * policy.backoff_factor**attempt
-    if policy.backoff_jitter > 0.0 and faults is not None:
-        seconds *= 1.0 + policy.backoff_jitter * faults.backoff_jitter(
-            step, shard, attempt
-        )
-    return seconds
+#: The policy of an executor built without a SupervisionPolicy: a
+#: faulted shard is not retried and nothing is timed out, so a dead
+#: worker raises instead of hanging the half-step.
+_UNSUPERVISED = SupervisionPolicy(max_retries=0, shard_deadline=None)
 
 
 class ShardExecutor:
@@ -356,9 +316,9 @@ class ShardExecutor:
     plan:
         The execution plan (sharding, workers, chunking, arena).
     supervision:
-        Opt-in :class:`~repro.runtime.plan.SupervisionPolicy` enabling
-        the supervised execution path (retries, deadlines, respawn,
-        degradation).
+        Opt-in :class:`~repro.runtime.plan.SupervisionPolicy`: retries,
+        deadlines, respawn and degradation.  Without one, a faulted
+        shard is not retried, so a dead pool worker raises.
     faults:
         Opt-in :class:`~repro.resilience.faults.FaultPlan` — injected
         into every shard site, for chaos testing.
@@ -368,8 +328,7 @@ class ShardExecutor:
     health:
         The :class:`~repro.resilience.health.RunHealth` log to report
         on; one is created automatically when any resilience hook is
-        active.  ``None`` with no hooks keeps the executor entirely on
-        the unsupervised fast path.
+        active, and it stays ``None`` with no hooks.
     """
 
     def __init__(
@@ -390,12 +349,12 @@ class ShardExecutor:
             RunHealth() if supervised else None
         )
         self.workspace = Workspace() if plan.arena else None
-        #: Shard geometry of each supervised half-step, in step order —
-        #: the input :func:`repro.resilience.faults.expected_fault_events`
+        #: Shard geometry of each half-step run with a fault plan, in step
+        #: order — the input :func:`repro.resilience.faults.expected_fault_events`
         #: needs to enumerate a fault plan's injections for accounting.
         self.spans_log: list[list[tuple[int, int]]] = []
         self._outputs: dict[str, np.ndarray] = {}
-        self._shm: dict[str, shared_memory.SharedMemory] = {}
+        self._shm = supervisor.SharedSegments()
         self._warned_no_fork = False
         self._step = 0
         self._pool_faults = 0
@@ -410,39 +369,14 @@ class ShardExecutor:
             self._outputs[key] = buf
         return buf
 
-    def _shared(self, key: str, nbytes: int) -> shared_memory.SharedMemory:
-        """A persistent (grow-only) shared-memory block for ``key``."""
-        blk = self._shm.get(key)
-        if blk is None or blk.size < nbytes:
-            if blk is not None:
-                blk.close()
-                blk.unlink()
-            blk = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._shm[key] = blk
-        return blk
-
     def close(self) -> None:
-        """Release shared-memory blocks and cached scratch.
+        """Release shared-memory blocks and cached scratch (idempotent).
 
-        Exception-safe and idempotent: every segment gets its close and
-        unlink attempted even if earlier ones fail (a segment another
-        process already unlinked must not leak the remaining ones).
-        Segments are detached from ``self`` *before* teardown so that a
-        re-entrant call — ``close()`` racing ``__del__`` at interpreter
-        shutdown — sees an empty map and cannot unlink a segment twice
-        (a second unlink trips the multiprocessing resource_tracker's
-        "leaked shared_memory" warning path).
+        Each shared-memory segment is unlinked exactly once, even when
+        ``close()`` races ``__del__`` (see
+        :class:`~repro.runtime.supervisor.SharedSegments`).
         """
-        shm, self._shm = self._shm, {}
-        for blk in shm.values():
-            try:
-                blk.close()
-            except Exception:
-                pass
-            try:
-                blk.unlink()
-            except Exception:
-                pass
+        self._shm.close()
         self._outputs.clear()
         if self.workspace is not None:
             try:
@@ -491,33 +425,35 @@ class ShardExecutor:
         updated (``"x"``/``"theta"``) so each side keeps its own
         persistent output buffer.
         """
-        fixed = np.ascontiguousarray(fixed, dtype=np.float32)
-        supervised = (
-            self.supervision is not None
-            or self.faults is not None
-            or self.guard is not None
-        )
-        params = _ShardParams(
+        job = _HalfStep(
+            ratings=ratings,
+            fixed=np.ascontiguousarray(fixed, dtype=np.float32),
+            warm=warm,
             plan=self.plan,
+            workspace=self.workspace,
             lam=lam,
             solver=solver,
             cg_config=cg_config or CGConfig(),
             precision=precision,
             direct=direct,
+            gram=gram,
             extra_diag=extra_diag,
+            entry_weights=entry_weights,
+            bias_values=bias_values,
             count_weighted_reg=count_weighted_reg,
             faults=self.faults,
             guard=self.guard,
             step=self._step,
         )
         self._step += 1
-        f = fixed.shape[1]
-        shape = (ratings.m, f)
+        shape = (ratings.m, job.fixed.shape[1])
         spans = partition_rows(ratings.row_ptr, self.plan.shards)
         if sanitizer.enabled():
             sanitizer.check_spans(list(spans), ratings.m, context="half_step")
-        workers = min(self.plan.workers, len(spans))
-        if workers > 0 and "fork" not in multiprocessing.get_all_start_methods():
+        if self.faults is not None:
+            self.spans_log.append(list(spans))
+        workers = 0 if self._degraded else min(self.plan.workers, len(spans))
+        if workers > 0 and not supervisor.fork_available():
             if not self._warned_no_fork:
                 self._warned_no_fork = True
                 warnings.warn(
@@ -527,36 +463,14 @@ class ShardExecutor:
                 )
             workers = 0
 
-        if supervised:
-            if self.faults is not None:
-                self.spans_log.append(list(spans))
-            if self._degraded:
-                workers = 0
-            if workers == 0:
-                out = self._output(key, shape)
-                counters = self._run_supervised_serial(
-                    ratings, fixed, warm, out, spans, params,
-                    gram, entry_weights, bias_values,
-                )
-            else:
-                out, counters = self._run_supervised_pool(
-                    ratings, fixed, warm, params, key, shape, spans, workers,
-                    gram, entry_weights, bias_values,
-                )
-        elif workers == 0:
+        if workers == 0:
             out = self._output(key, shape)
             counters = [
-                _compute_shard(
-                    ratings, fixed, warm, out, lo, hi, params, self.workspace,
-                    gram, entry_weights, bias_values,
-                )[:2]
-                for lo, hi in spans
+                self._run_shard(job, out, lo, hi, shard, 0)
+                for shard, (lo, hi) in enumerate(spans)
             ]
         else:
-            out, counters = self._run_pool(
-                ratings, fixed, warm, params, key, shape, spans, workers,
-                gram, entry_weights, bias_values,
-            )
+            out, counters = self._run_pool(job, key, shape, spans, workers)
 
         return HalfStepResult(
             factors=out,
@@ -565,97 +479,14 @@ class ShardExecutor:
             shards=len(spans),
         )
 
-    def _setup_fork_ctx(
+    def _run_shard(
         self,
-        ratings,
-        fixed: np.ndarray,
-        warm: np.ndarray | None,
-        params: _ShardParams,
-        key: str,
-        shape: tuple[int, int],
-        gram: np.ndarray | None,
-        entry_weights: np.ndarray | None,
-        bias_values: np.ndarray | None,
-    ) -> shared_memory.SharedMemory:
-        """Stage the factor matrices into shm and publish ``_FORK_CTX``."""
-        global _FORK_CTX
-        nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * 4)
-        fixed_nbytes = max(1, fixed.nbytes)
-        fixed_shm = self._shared(f"{key}.fixed", fixed_nbytes)
-        out_shm = self._shared(f"{key}.out", nbytes)
-        fixed_view = np.ndarray(fixed.shape, np.float32, buffer=fixed_shm.buf)
-        np.copyto(fixed_view, fixed)
-        warm_shm = None
-        if warm is not None:
-            warm_shm = self._shared(f"{key}.warm", nbytes)
-            warm_view = np.ndarray(shape, np.float32, buffer=warm_shm.buf)
-            np.copyto(warm_view, warm)
-        _FORK_CTX = {
-            "ratings": ratings,
-            "params": params,
-            "gram": gram,
-            "entry_weights": entry_weights,
-            "bias_values": bias_values,
-            "workspace": self.workspace,
-            "fixed_shm": fixed_shm,
-            "fixed_shape": fixed.shape,
-            "warm_shm": warm_shm,
-            "out_shm": out_shm,
-            "out_shape": shape,
-        }
-        return out_shm
-
-    def _run_pool(
-        self,
-        ratings,
-        fixed: np.ndarray,
-        warm: np.ndarray | None,
-        params: _ShardParams,
-        key: str,
-        shape: tuple[int, int],
-        spans: list[tuple[int, int]],
-        workers: int,
-        gram: np.ndarray | None,
-        entry_weights: np.ndarray | None,
-        bias_values: np.ndarray | None,
-    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Fan the shards out over a fork pool with shm-backed factors."""
-        global _FORK_CTX
-        out_shm = self._setup_fork_ctx(
-            ratings, fixed, warm, params, key, shape, gram, entry_weights,
-            bias_values,
-        )
-        tasks = [(lo, hi, i, 0) for i, (lo, hi) in enumerate(spans)]
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                outcomes = pool.map(_forked_shard, tasks, chunksize=1)
-        finally:
-            _FORK_CTX = None
-        # Copy the solved factors out of the transport buffer so the
-        # returned array follows the same persistent-buffer lifetime as
-        # the serial path (and survives shm growth/unlink).
-        out = self._output(key, shape)
-        np.copyto(out, np.ndarray(shape, np.float32, buffer=out_shm.buf))
-        return out, [(it, mv) for it, mv, _ in outcomes]
-
-    # -- supervised execution -----------------------------------------------
-
-    def _retry_shard_serial(
-        self,
-        ratings,
-        fixed: np.ndarray,
-        warm: np.ndarray | None,
+        job: _HalfStep,
         out: np.ndarray,
         lo: int,
         hi: int,
         shard: int,
         attempt: int,
-        params: _ShardParams,
-        policy: SupervisionPolicy,
-        gram: np.ndarray | None,
-        entry_weights: np.ndarray | None,
-        bias_values: np.ndarray | None,
     ) -> tuple[int, int]:
         """One shard, in-process, with the bounded retry/backoff loop.
 
@@ -666,182 +497,135 @@ class ShardExecutor:
         """
         while True:
             try:
-                it, mv, events = _compute_shard(
-                    ratings, fixed, warm, out, lo, hi, params, self.workspace,
-                    gram, entry_weights, bias_values,
-                    shard=shard, attempt=attempt,
-                )
+                it, mv, events = _compute_shard(job, out, lo, hi, shard, attempt)
             except InjectedWorkerKill as exc:
                 self.health.record(
-                    "fault.worker-kill", step=params.step, shard=shard,
+                    "fault.worker-kill", step=job.step, shard=shard,
                     attempt=attempt, detail=str(exc),
                 )
-                if attempt >= policy.max_retries:
+                if attempt >= self._policy.max_retries:
                     raise
-                time.sleep(
-                    _backoff_sleep(policy, self.faults, params.step, shard, attempt)
-                )
+                self._sleep_before_retry(job.step, shard, attempt)
                 attempt += 1
                 self.health.record(
-                    "supervise.retry", step=params.step, shard=shard,
+                    "supervise.retry", step=job.step, shard=shard,
                     attempt=attempt,
                 )
                 continue
-            self.health.extend(events)
+            if events:
+                self.health.extend(events)
             return it, mv
 
-    def _run_supervised_serial(
+    def _run_pool(
         self,
-        ratings,
-        fixed: np.ndarray,
-        warm: np.ndarray | None,
-        out: np.ndarray,
-        spans: list[tuple[int, int]],
-        params: _ShardParams,
-        gram: np.ndarray | None,
-        entry_weights: np.ndarray | None,
-        bias_values: np.ndarray | None,
-    ) -> list[tuple[int, int]]:
-        policy = self.supervision or SupervisionPolicy()
-        return [
-            self._retry_shard_serial(
-                ratings, fixed, warm, out, lo, hi, shard, 0, params, policy,
-                gram, entry_weights, bias_values,
-            )
-            for shard, (lo, hi) in enumerate(spans)
-        ]
-
-    def _run_supervised_pool(
-        self,
-        ratings,
-        fixed: np.ndarray,
-        warm: np.ndarray | None,
-        params: _ShardParams,
+        job: _HalfStep,
         key: str,
         shape: tuple[int, int],
         spans: list[tuple[int, int]],
         workers: int,
-        gram: np.ndarray | None,
-        entry_weights: np.ndarray | None,
-        bias_values: np.ndarray | None,
     ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Supervised fan-out: one fork process + result pipe per shard.
+        """Fan the shards out: one forked process + result pipe per attempt.
 
-        Worker death shows up as pipe EOF (instant — no deadline wait);
-        a deadline overrun gets the process SIGKILLed.  Either way only
-        that shard is affected: its rows are recomputed wholesale on
-        retry, so a mid-write kill cannot leave torn rows in the final
-        factors, and there is no shared pool whose queues a dying worker
-        could corrupt.  After ``policy.pool_fault_limit`` faults the
-        executor latches ``supervise.degrade-serial`` and finishes this
-        (and every later) half-step in-process.
+        Only the output lives in shared memory; every input reaches the
+        workers through the fork context.  Worker death shows up as pipe
+        EOF (instant — no deadline wait); a deadline overrun gets the
+        process SIGKILLed.  Either way only that shard is affected: its
+        rows are recomputed wholesale on retry, so a mid-write kill
+        cannot leave torn rows in the final factors.  After
+        ``policy.pool_fault_limit`` faults the executor latches
+        ``supervise.degrade-serial`` and finishes this (and every later)
+        half-step in-process.
         """
-        global _FORK_CTX
-        policy = self.supervision or SupervisionPolicy()
-        out_shm = self._setup_fork_ctx(
-            ratings, fixed, warm, params, key, shape, gram, entry_weights,
-            bias_values,
-        )
-        out_view = np.ndarray(shape, np.float32, buffer=out_shm.buf)
-        ctx = multiprocessing.get_context("fork")
-        pending: list[tuple[int, int]] = [(i, 0) for i in range(len(spans))]
-        running: dict[int, tuple] = {}  # shard -> (proc, conn, attempt, t0)
+        shard_deadline = self._policy.shard_deadline
+        out_view = self._shm.array(f"{key}.out", shape)
+        queue = [(shard, 0) for shard in range(len(spans))]
+        running: dict[tuple[int, int], supervisor.Worker] = {}
         counters: dict[int, tuple[int, int]] = {}
-        try:
-            while pending or running:
-                if self._degraded and not running:
-                    while pending:
-                        shard, attempt = pending.pop(0)
-                        lo, hi = spans[shard]
-                        counters[shard] = self._retry_shard_serial(
-                            ratings, fixed, warm, out_view, lo, hi, shard,
-                            attempt, params, policy, gram, entry_weights,
-                            bias_values,
-                        )
-                    continue
-                while pending and len(running) < workers and not self._degraded:
-                    shard, attempt = pending.pop(0)
-                    lo, hi = spans[shard]
-                    recv_conn, send_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_supervised_worker,
-                        args=((lo, hi, shard, attempt), send_conn),
-                        daemon=True,
-                    )
-                    proc.start()
-                    send_conn.close()  # child holds the only send end now
-                    running[shard] = (proc, recv_conn, attempt, time.monotonic())
-                if not running:
-                    continue
-                ready = connection.wait(
-                    [conn for _, conn, _, _ in running.values()], timeout=0.02
+
+        def launch() -> None:
+            while queue and len(running) < workers and not self._degraded:
+                shard, attempt = queue.pop(0)
+                worker = supervisor.fork_worker(
+                    _shard_worker, (*spans[shard], shard, attempt), (job, out_view)
                 )
-                now = time.monotonic()
-                done: list[int] = []
-                for shard, (proc, conn, attempt, t0) in list(running.items()):
-                    fault_detail = None
-                    if conn in ready:
-                        try:
-                            status, payload = conn.recv()
-                        except (EOFError, OSError):
-                            fault_detail = "worker died (pipe EOF)"
-                        else:
-                            done.append(shard)
-                            proc.join()
-                            conn.close()
-                            if status == "ok":
-                                it, mv, events = payload
-                                self.health.extend(events)
-                                counters[shard] = (it, mv)
-                                continue
-                            raise payload  # worker exception, e.g. NumericalFault
-                    elif (
-                        policy.shard_deadline is not None
-                        and now - t0 > policy.shard_deadline
-                    ):
-                        fault_detail = "deadline exceeded"
-                    elif not proc.is_alive():
-                        # The worker may have sent its result and exited
-                        # between the wait() and this scan; once the process
-                        # is gone any payload it sent is already buffered in
-                        # the pipe, so poll() separates "finished fast" from
-                        # "died without reporting".
-                        if conn.poll():
-                            continue
-                        fault_detail = "worker died (no result)"
-                    if fault_detail is None:
-                        continue
-                    done.append(shard)
-                    proc.kill()
-                    proc.join()
-                    conn.close()
-                    self._handle_pool_fault(
-                        params.step, shard, attempt, fault_detail, policy,
-                        spans[shard], pending,
-                    )
-                for shard in done:
-                    running.pop(shard, None)
+                if shard_deadline is not None:
+                    worker.deadline = time.monotonic() + shard_deadline
+                running[shard, attempt] = worker
+
+        try:
+            launch()
+            for (shard, attempt), worker, reply, fault in supervisor.await_replies(
+                running
+            ):
+                if fault is not None:
+                    self._pool_fault(job.step, shard, attempt, fault, spans[shard], queue)
+                else:
+                    worker.reap()
+                    status, payload = reply
+                    if status != "ok":
+                        raise payload  # worker exception, e.g. NumericalFault
+                    it, mv, events = payload
+                    if events:
+                        self.health.extend(events)
+                    counters[shard] = (it, mv)
+                launch()
+            # degraded mid-step: the shards still queued finish in-process
+            for shard, attempt in queue:
+                counters[shard] = self._run_shard(
+                    job, out_view, *spans[shard], shard, attempt
+                )
         finally:
-            for proc, conn, _, _ in running.values():
-                proc.kill()
-                proc.join()
-                conn.close()
-            _FORK_CTX = None
+            for worker in running.values():
+                worker.reap()
+        # Copy the solved factors out of the transport buffer so the
+        # returned array follows the same persistent-buffer lifetime as
+        # the serial path (and survives shm growth/unlink).
         out = self._output(key, shape)
         np.copyto(out, out_view)
         return out, [counters[i] for i in range(len(spans))]
 
-    def _handle_pool_fault(
+    # -- supervision policy -------------------------------------------------
+
+    @property
+    def _policy(self) -> SupervisionPolicy:
+        return self.supervision or _UNSUPERVISED
+
+    def _sleep_before_retry(self, step: int, shard: int, attempt: int) -> None:
+        """Back off before retrying one fault site.
+
+        The jitter fraction comes from the fault plan's dedicated
+        SeedSequence stream when a plan is active (replayable chaos
+        drills), and is zero otherwise — global RNG state never enters
+        the schedule.
+        """
+        policy = self._policy
+        jitter = 0.0
+        if policy.backoff_jitter > 0.0 and self.faults is not None:
+            jitter = policy.backoff_jitter * self.faults.backoff_jitter(
+                step, shard, attempt
+            )
+        time.sleep(
+            supervisor.backoff(
+                policy.backoff_seconds, policy.backoff_factor, attempt,
+                jitter=jitter,
+            )
+        )
+
+    def _record(self, kind: str, **fields) -> None:
+        if self.health is not None:
+            self.health.record(kind, **fields)
+
+    def _pool_fault(
         self,
         step: int,
         shard: int,
         attempt: int,
         detail: str,
-        policy: SupervisionPolicy,
         span: tuple[int, int],
-        pending: list[tuple[int, int]],
+        queue: list[tuple[int, int]],
     ) -> None:
         """Account one pool fault and requeue the shard (or give up)."""
+        policy = self._policy
         self._pool_faults += 1
         lo, hi = span
         planned_kill = (
@@ -851,17 +635,17 @@ class ShardExecutor:
             and self.faults.fires("fault.worker-kill", step, shard)
         )
         if planned_kill:
-            self.health.record(
+            self._record(
                 "fault.worker-kill", step=step, shard=shard, attempt=attempt,
                 detail=f"injected SIGKILL ({detail})",
             )
-        elif detail == "deadline exceeded":
-            self.health.record(
+        elif detail == supervisor.DEADLINE:
+            self._record(
                 "supervise.deadline", step=step, shard=shard, attempt=attempt,
                 detail=f"exceeded {policy.shard_deadline:g}s",
             )
         else:
-            self.health.record(
+            self._record(
                 "supervise.respawn", step=step, shard=shard, attempt=attempt,
                 detail=detail,
             )
@@ -870,15 +654,15 @@ class ShardExecutor:
                 f"shard {shard} of half-step {step} failed "
                 f"{attempt + 1} time(s) ({detail}); retry budget exhausted"
             )
-        time.sleep(_backoff_sleep(policy, self.faults, step, shard, attempt))
-        self.health.record(
+        self._sleep_before_retry(step, shard, attempt)
+        self._record(
             "supervise.retry", step=step, shard=shard, attempt=attempt + 1,
             detail="respawning worker",
         )
-        pending.append((shard, attempt + 1))
+        queue.append((shard, attempt + 1))
         if not self._degraded and self._pool_faults >= policy.pool_fault_limit:
             self._degraded = True
-            self.health.record(
+            self._record(
                 "supervise.degrade-serial", step=step,
                 detail=(
                     f"{self._pool_faults} pool fault(s) >= limit "

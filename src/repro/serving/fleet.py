@@ -3,8 +3,11 @@
 The single-process :class:`~repro.serving.engine.ServingEngine` bounds
 throughput by one GEMM stream and bounds availability by one process:
 a stalled or dying scorer takes the whole top-k path with it.  This
-module lifts the fork + :mod:`multiprocessing.shared_memory` machinery
-of :class:`repro.runtime.executor.ShardExecutor` into serving:
+module serves through forked workers supervised by
+:mod:`repro.runtime.supervisor` — the fork context, reply awaiting,
+shared-memory segments and backoff it shares with
+:class:`repro.runtime.executor.ShardExecutor` — and adds the fleet's
+own policy on top:
 
 * **workers** — N scoring processes forked at construction.  The factor
   matrices live in shared memory (staged once per model version); the
@@ -19,12 +22,12 @@ of :class:`repro.runtime.executor.ShardExecutor` into serving:
   one worker the partition is the identity, which is what makes the
   fault-free fleet bit-identical to the single-process engine (the
   drill's equivalence leg).
-* **supervision** — per-worker heartbeats (ping/pong with sequence
-  numbers) on idle ticks, a wall-clock batch deadline on dispatched
-  ticks, worker-death detection as pipe EOF with the same
-  ``poll()`` race guard the supervised executor uses ("finished fast"
-  vs "died without reporting"), and bounded exponential-backoff
-  respawn with a per-slot retry budget.
+* **supervision** — heartbeats on idle ticks (every idle worker is
+  pinged, then all pongs are awaited under one deadline), a wall-clock
+  batch deadline on dispatched ticks, worker-death detection as pipe
+  EOF (both through :func:`~repro.runtime.supervisor.await_replies`),
+  and bounded exponential-backoff respawn with a per-slot strike
+  budget.
 * **re-routing** — requests on a dead worker are recorded as
   ``request.rerouted`` and scored in-process *in the same tick*, so
   the :meth:`~repro.serving.health.ServingHealth.audit` partition
@@ -53,16 +56,15 @@ the ``worker.*`` supervision events depend on wall-clock timing.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
 from dataclasses import dataclass
-from multiprocessing import connection, shared_memory
 
 import numpy as np
 
 from ..resilience.faults import ServingFaultPlan
+from ..runtime import supervisor
 from ..runtime.arena import Workspace
 from .batcher import MicroBatcher
 from .engine import ServingConfig, ServingEngine
@@ -112,14 +114,6 @@ class FleetConfig:
             raise ValueError("fleet_fault_limit must be >= 1")
 
 
-# Fork-inherited worker context, exactly the executor's _FORK_CTX
-# pattern: populated in the parent immediately before a worker forks;
-# the child sees a copy-on-write snapshot.  Only the factor matrices
-# live in shared memory (restaged on model swap); the index and shapes
-# ride the fork for free.
-_FLEET_CTX: dict | None = None
-
-
 def _fleet_worker_main(worker_id: int, conn) -> None:
     """Worker process entry: serve score/ping messages until stopped.
 
@@ -135,11 +129,7 @@ def _fleet_worker_main(worker_id: int, conn) -> None:
       pipe EOF with the batch outstanding).  Answered with
       ``("result", task_id, results, bad_rows)``.
     """
-    ctx = _FLEET_CTX
-    assert ctx is not None, "fleet worker forked outside a fleet context"
-    x = np.ndarray(ctx["x_shape"], np.float32, buffer=ctx["x_shm"].buf)
-    theta = np.ndarray(ctx["theta_shape"], np.float32, buffer=ctx["theta_shm"].buf)
-    index = ctx["index"]
+    x, theta, index = supervisor.fork_context()
     batcher = MicroBatcher(Workspace())
     try:
         while True:
@@ -178,15 +168,6 @@ def _fleet_worker_main(worker_id: int, conn) -> None:
             pass
 
 
-@dataclass
-class _WorkerHandle:
-    """Parent-side state for one live worker slot."""
-
-    proc: multiprocessing.Process
-    conn: connection.Connection
-    seq: int = 0  # heartbeat sequence number
-
-
 class FleetEngine(ServingEngine):
     """N supervised scoring workers behind the ServingEngine contract.
 
@@ -222,16 +203,19 @@ class FleetEngine(ServingEngine):
             index_config=index_config,
             nprobe=nprobe,
         )
-        self._workers: list[_WorkerHandle | None] = [None] * self.fleet.workers
+        self._workers: list[supervisor.Worker | None] = [None] * self.fleet.workers
         self._respawns = [0] * self.fleet.workers  # lifetime totals (stats)
         #: Consecutive faults per slot since it last proved liveness
         #: (answered a batch or a ping).  Drives both the exponential
         #: backoff and the abandon decision, so a worker that keeps
         #: dying backs off harder while one that recovered starts fresh.
         self._strikes = [0] * self.fleet.workers
-        self._shm: dict[str, shared_memory.SharedMemory] = {}
-        self._ctx: dict | None = None
+        self._shm = supervisor.SharedSegments()
+        #: Fork context of every worker: (x, theta) views of the staged
+        #: factors plus the index snapshot.
+        self._ctx: tuple | None = None
         self._next_task = 0
+        self._ping_seq = 0
         self._fleet_faults = 0
         self._inline_latched = False
         self._kill_victim: int | None = None
@@ -241,7 +225,7 @@ class FleetEngine(ServingEngine):
         self.rerouted_requests = 0
         self.heartbeat_misses = 0
         self.worker_deaths = 0
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if not supervisor.fork_available():
             self._latch_inline(self.tick_now, "fork start method unavailable")
             return
         self._stage_factors()
@@ -255,41 +239,18 @@ class FleetEngine(ServingEngine):
 
     def _stage_factors(self) -> None:
         """(Re)stage the served factors into shared memory for workers."""
-        old, self._shm = self._shm, {}
-        for blk in old.values():
-            try:
-                blk.close()
-                blk.unlink()
-            except Exception:
-                pass
-        x, theta = self.store.x, self.store.theta
-        x_shm = shared_memory.SharedMemory(create=True, size=x.nbytes)
-        theta_shm = shared_memory.SharedMemory(create=True, size=theta.nbytes)
-        np.ndarray(x.shape, np.float32, buffer=x_shm.buf)[:] = x
-        np.ndarray(theta.shape, np.float32, buffer=theta_shm.buf)[:] = theta
-        self._shm = {"x": x_shm, "theta": theta_shm}
-        self._ctx = {
-            "x_shm": x_shm,
-            "x_shape": x.shape,
-            "theta_shm": theta_shm,
-            "theta_shape": theta.shape,
-            "index": self.store.index if self.store.index_current else None,
-        }
+        self._ctx = None  # drop the old views before blocks are reused
+        x = self._shm.array("x", self.store.x.shape)
+        theta = self._shm.array("theta", self.store.theta.shape)
+        x[:] = self.store.x
+        theta[:] = self.store.theta
+        index = self.store.index if self.store.index_current else None
+        self._ctx = (x, theta, index)
 
     def _spawn(self, wid: int) -> None:
-        global _FLEET_CTX
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        _FLEET_CTX = self._ctx
-        try:
-            proc = ctx.Process(
-                target=_fleet_worker_main, args=(wid, child_conn), daemon=True
-            )
-            proc.start()
-        finally:
-            _FLEET_CTX = None
-        child_conn.close()  # the worker holds the only child end now
-        self._workers[wid] = _WorkerHandle(proc=proc, conn=parent_conn)
+        self._workers[wid] = supervisor.fork_worker(
+            _fleet_worker_main, (wid,), self._ctx, duplex=True
+        )
 
     def _respawn(self, wid: int, tick: int, detail: str) -> bool:
         """Replace a dead slot, bounded-backoff; False when out of budget.
@@ -305,10 +266,11 @@ class FleetEngine(ServingEngine):
             self._workers[wid] = None
             return False
         time.sleep(
-            min(
-                self.fleet.respawn_backoff_seconds
-                * self.fleet.respawn_backoff_factor ** self._strikes[wid],
-                self.fleet.respawn_backoff_max,
+            supervisor.backoff(
+                self.fleet.respawn_backoff_seconds,
+                self.fleet.respawn_backoff_factor,
+                self._strikes[wid],
+                cap=self.fleet.respawn_backoff_max,
             )
         )
         self._strikes[wid] += 1
@@ -321,19 +283,9 @@ class FleetEngine(ServingEngine):
 
     def _reap(self, wid: int) -> None:
         """Kill + join + close one slot's process and pipe (idempotent)."""
-        handle = self._workers[wid]
-        if handle is None:
-            return
-        self._workers[wid] = None
-        try:
-            handle.proc.kill()
-            handle.proc.join()
-        except Exception:
-            pass
-        try:
-            handle.conn.close()
-        except Exception:
-            pass
+        handle, self._workers[wid] = self._workers[wid], None
+        if handle is not None:
+            handle.reap()
 
     def _worker_down(self, wid: int, tick: int, detail: str, *,
                      died: bool = True) -> None:
@@ -382,21 +334,13 @@ class FleetEngine(ServingEngine):
     def close(self) -> None:
         """Stop the pool and release shared-memory factor staging.
 
-        Idempotent and re-entrant-safe (``close()`` racing ``__del__``):
-        the shm map is detached before teardown so each segment is
-        unlinked exactly once — the ShardExecutor teardown contract.
+        Idempotent, and each segment is unlinked exactly once even when
+        ``close()`` races ``__del__`` (see
+        :class:`~repro.runtime.supervisor.SharedSegments`).
         """
         self._stop_workers()
-        shm, self._shm = self._shm, {}
-        for blk in shm.values():
-            try:
-                blk.close()
-            except Exception:
-                pass
-            try:
-                blk.unlink()
-            except Exception:
-                pass
+        self._ctx = None
+        self._shm.close()
 
     def __enter__(self) -> "FleetEngine":
         return self
@@ -594,60 +538,45 @@ class FleetEngine(ServingEngine):
     ) -> None:
         """Await every dispatched group; re-route the dead ones inline.
 
-        Worker death surfaces as pipe EOF (instant) or as process-gone
-        with an empty pipe; the ``poll()`` check distinguishes a worker
-        that sent its result and exited between ``wait()`` and the
-        liveness scan ("finished fast") from one that died without
-        reporting — the supervised executor's race guard.
+        All replies are awaited under one batch deadline before any
+        fault is handled, so a respawn's backoff never delays the
+        collection of the healthy workers' results.
         """
-        pending = dict(outstanding)
         deadline = time.monotonic() + self.fleet.batch_deadline
-        while pending:
-            conns = {self._workers[wid].conn: wid for wid in pending}
-            ready_conns = connection.wait(list(conns), timeout=0.02)
-            now = time.monotonic()
-            for conn, wid in list(conns.items()):
-                task_id, rows, poison_pos = pending[wid]
-                handle = self._workers[wid]
-                fail = None
-                if conn in ready_conns:
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        fail = "worker died (pipe EOF)"
-                    else:
-                        if message[0] != "result" or message[1] != task_id:
-                            continue  # stale pong/result: keep waiting
-                        sub_results, sub_bad = message[2], message[3]
-                        for j, i in enumerate(rows):
-                            results[i] = sub_results[j]
-                            worker_of[i] = wid
-                        bad.update(rows[j] for j in sub_bad)
-                        self._strikes[wid] = 0  # proved liveness
-                        del pending[wid]
-                        continue
-                elif not handle.proc.is_alive():
-                    if conn.poll():
-                        continue  # finished fast; next wait() scoops it
-                    fail = "worker died (no result)"
-                elif now > deadline:
-                    fail = "batch deadline exceeded"
-                if fail is None:
-                    continue
-                del pending[wid]
-                self._worker_down(wid, tick, fail)
-                for i in rows:
-                    self.rerouted_requests += 1
-                    self.health.record(
-                        "request.rerouted",
-                        tick=tick,
-                        request_id=ready[i].request_id,
-                        worker=wid,
-                        detail=fail,
-                    )
-                self._score_inline(
-                    ready, rows, poison_pos, index, results, bad, worker_of
+        pending = {}
+        for wid in outstanding:
+            pending[wid] = self._workers[wid]
+            pending[wid].deadline = deadline
+
+        def accept(wid: int, message) -> bool:
+            # a stale pong or result is dropped and the worker awaited on
+            return message[0] == "result" and message[1] == outstanding[wid][0]
+
+        for wid, _, message, fail in list(supervisor.await_replies(pending, accept)):
+            _, rows, poison_pos = outstanding[wid]
+            if fail is None:
+                sub_results, sub_bad = message[2], message[3]
+                for j, i in enumerate(rows):
+                    results[i] = sub_results[j]
+                    worker_of[i] = wid
+                bad.update(rows[j] for j in sub_bad)
+                self._strikes[wid] = 0  # proved liveness
+                continue
+            if fail == supervisor.DEADLINE:
+                fail = "batch deadline exceeded"
+            self._worker_down(wid, tick, fail)
+            for i in rows:
+                self.rerouted_requests += 1
+                self.health.record(
+                    "request.rerouted",
+                    tick=tick,
+                    request_id=ready[i].request_id,
+                    worker=wid,
+                    detail=fail,
                 )
+            self._score_inline(
+                ready, rows, poison_pos, index, results, bad, worker_of
+            )
 
     # -- heartbeats ---------------------------------------------------------
 
@@ -656,44 +585,43 @@ class FleetEngine(ServingEngine):
 
         Workers that served a batch this tick already proved liveness;
         pinging only the idle ones keeps the fleet's failure-detection
-        latency at one tick without doubling pipe traffic.
+        latency at one tick without doubling pipe traffic.  Every idle
+        worker is pinged first and all pongs are then awaited under one
+        deadline, so a stalled worker costs the round one timeout, not
+        one per worker.
         """
         if not self._pool_active():
             return
+        self._ping_seq += 1
+        ping = ("ping", self._ping_seq)
+        deadline = time.monotonic() + self.fleet.heartbeat_timeout
+        pending: dict[int, supervisor.Worker] = {}
+        misses: list[tuple[int, str]] = []
         for wid, handle in enumerate(self._workers):
             if handle is None or wid in dispatched:
                 continue
-            handle.seq += 1
-            expect = handle.seq
-            miss = None
             try:
-                handle.conn.send(("ping", expect))
+                handle.conn.send(ping)
             except (BrokenPipeError, OSError):
-                miss = "ping failed (pipe closed)"
-            hb_deadline = time.monotonic() + self.fleet.heartbeat_timeout
-            while miss is None:
-                remaining = hb_deadline - time.monotonic()
-                if remaining <= 0:
-                    miss = "pong overdue"
-                    break
-                if not handle.conn.poll(remaining):
-                    miss = "pong overdue"
-                    break
-                try:
-                    message = handle.conn.recv()
-                except (EOFError, OSError):
-                    miss = "worker died (pipe EOF)"
-                    break
-                if message[0] == "pong" and message[1] == expect:
-                    self._strikes[wid] = 0  # proved liveness
-                    break
-                # stale pong from an earlier round: keep draining
-            if miss is not None:
-                self.heartbeat_misses += 1
-                self.health.record(
-                    "worker.heartbeat-miss", tick=tick, worker=wid, detail=miss
+                misses.append((wid, "ping failed (pipe closed)"))
+                continue
+            handle.deadline = deadline
+            pending[wid] = handle
+        pong = ("pong", self._ping_seq)
+        replies = supervisor.await_replies(pending, lambda _, msg: msg == pong)
+        for wid, _, _, fail in list(replies):
+            if fail is None:
+                self._strikes[wid] = 0  # proved liveness
+            else:
+                misses.append(
+                    (wid, "pong overdue" if fail == supervisor.DEADLINE else fail)
                 )
-                self._worker_down(wid, tick, miss, died=False)
+        for wid, miss in sorted(misses):
+            self.heartbeat_misses += 1
+            self.health.record(
+                "worker.heartbeat-miss", tick=tick, worker=wid, detail=miss
+            )
+            self._worker_down(wid, tick, miss, died=False)
 
     # -- chaos --------------------------------------------------------------
 

@@ -422,7 +422,7 @@ class TestRC004WorkerCaptures:
         assert "RC004" in rules(diags)
 
     def test_module_level_worker_is_sanctioned(self):
-        # the shape of executor._forked_shard / _FORK_CTX
+        # the shape of executor._shard_worker / supervisor._FORK_CTX
         assert run("""
             def worker(task):
                 return task

@@ -18,8 +18,9 @@ from repro.resilience.faults import FaultPlan, expected_fault_events
 from repro.resilience.guards import GuardPolicy
 from repro.resilience.health import RunHealth
 from repro.runtime import RuntimePlan, ShardExecutor
-from repro.runtime.executor import _backoff_sleep
 from repro.runtime.plan import SupervisionPolicy
+from repro.serving.fleet import FleetConfig
+from repro.runtime.supervisor import backoff
 
 LAM = 0.08
 CG = CGConfig(max_iters=5, tol=1e-5)
@@ -172,11 +173,26 @@ class TestLifecycle:
 
 
 class TestBackoffSchedule:
+    """The shared schedule, as the executor and the fleet drive it.
+
+    The executor stretches each sleep by ``policy.backoff_jitter`` times
+    its fault plan's seeded draw; the fleet caps it instead.
+    """
+
+    @staticmethod
+    def executor_sleep(policy, plan, step, shard, attempt):
+        jitter = 0.0 if plan is None else (
+            policy.backoff_jitter * plan.backoff_jitter(step, shard, attempt)
+        )
+        return backoff(
+            policy.backoff_seconds, policy.backoff_factor, attempt, jitter=jitter
+        )
+
     def test_no_plan_means_no_jitter(self):
         policy = SupervisionPolicy(backoff_seconds=0.01, backoff_factor=2.0)
         for attempt in range(3):
             want = 0.01 * 2.0**attempt
-            got = _backoff_sleep(policy, None, 0, 0, attempt)
+            got = self.executor_sleep(policy, None, 0, 0, attempt)
             assert got == pytest.approx(want)
 
     def test_jitter_is_bounded_and_replayable(self):
@@ -186,18 +202,32 @@ class TestBackoffSchedule:
         plan = FaultPlan(seed=11)
         for attempt in range(3):
             base = 0.01 * 2.0**attempt
-            got = _backoff_sleep(policy, plan, 2, 1, attempt)
+            got = self.executor_sleep(policy, plan, 2, 1, attempt)
             assert base <= got < base * 1.25
-            again = _backoff_sleep(policy, plan, 2, 1, attempt)
+            again = self.executor_sleep(policy, plan, 2, 1, attempt)
             assert got == again  # noqa: repro-float-eq - replayable schedule
 
     def test_jitter_derives_from_plan_seed(self):
         policy = SupervisionPolicy(backoff_seconds=0.01, backoff_jitter=0.25)
-        a = _backoff_sleep(policy, FaultPlan(seed=1), 0, 0, 0)
-        b = _backoff_sleep(policy, FaultPlan(seed=2), 0, 0, 0)
+        a = self.executor_sleep(policy, FaultPlan(seed=1), 0, 0, 0)
+        b = self.executor_sleep(policy, FaultPlan(seed=2), 0, 0, 0)
         assert a != b  # noqa: repro-float-eq - distinct streams
 
     def test_zero_jitter_policy_ignores_plan(self):
         policy = SupervisionPolicy(backoff_seconds=0.01, backoff_jitter=0.0)
-        got = _backoff_sleep(policy, FaultPlan(seed=1), 0, 0, 1)
+        got = self.executor_sleep(policy, FaultPlan(seed=1), 0, 0, 1)
         assert got == pytest.approx(0.02)
+
+    def test_fleet_schedule_is_capped(self):
+        fleet = FleetConfig(
+            respawn_backoff_seconds=0.01, respawn_backoff_factor=2.0,
+            respawn_backoff_max=0.05,
+        )
+        got = [
+            backoff(
+                fleet.respawn_backoff_seconds, fleet.respawn_backoff_factor,
+                strikes, cap=fleet.respawn_backoff_max,
+            )
+            for strikes in range(5)
+        ]
+        assert got == pytest.approx([0.01, 0.02, 0.04, 0.05, 0.05])

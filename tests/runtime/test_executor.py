@@ -7,9 +7,14 @@ reference is always the raw seed pipeline (``hermitian_and_bias`` +
 ``cg_solve_batched``).
 """
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
+import repro.runtime.executor as executor_module
 from repro.core.cg import cg_solve_batched
 from repro.core.config import CGConfig, Precision, SolverKind
 from repro.core.direct import lu_solve_batched
@@ -220,3 +225,48 @@ class TestTeardown:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+
+def _half_step_reporting(problem, conn) -> None:
+    """Scenario process: one unsupervised pool half-step, outcome sent back."""
+    ratings, theta, warm = problem
+    try:
+        with ShardExecutor(RuntimePlan(shards=2, workers=2)) as executor:
+            executor.half_step(ratings, theta, warm, lam=LAM, cg_config=CG)
+        conn.send(("returned", ""))
+    except Exception as exc:
+        conn.send((type(exc).__name__, str(exc)))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+class TestUnsupervisedPoolDeath:
+    """Without a SupervisionPolicy a dead worker fails the half-step."""
+
+    def test_dead_worker_raises_naming_the_shard(self, problem, monkeypatch):
+        real = executor_module.hermitian_rows
+
+        def kill_second_shard(*args, **kwargs):
+            if kwargs["rows"].start > 0:  # only shard 1 of 2 starts past row 0
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "hermitian_rows", kill_second_shard)
+        # The half-step runs in its own process under a wall-clock bound,
+        # so a hang fails this test instead of blocking the suite.
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        scenario = ctx.Process(target=_half_step_reporting, args=(problem, send))
+        scenario.start()
+        send.close()
+        try:
+            assert recv.poll(60), "half_step hung on a dead worker"
+            kind, message = recv.recv()
+        finally:
+            scenario.kill()
+            scenario.join(timeout=10)
+        assert kind == "RuntimeError"
+        assert "shard 1 of half-step 0" in message
+        assert "pipe EOF" in message
