@@ -17,22 +17,21 @@ per half-step:
   half-step and never fetches on demand.  Bandwidth-optimal but adds
   (p-1) synchronized hops of latency.
 
-Numerics are the shared exact ALS half-step (identical results across
-strategies — they differ only in time); the clock combines a multicore
-CPU roofline with the α-β network models.
+Numerics are the shared exact ALS half-step (an executor Cholesky
+half-step, identical across strategies — they differ only in time); the
+clock combines a multicore CPU roofline with the α-β network models.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import ALSConfig
-from ..core.direct import cholesky_solve_batched
-from ..core.hermitian import hermitian_and_bias
+from ..core.config import ALSConfig, SolverKind
 from ..data.datasets import WorkloadShape
 from ..data.sparse import RatingMatrix
 from ..gpusim.cpu import NOMAD_HPC_NODE, CpuSpec, cpu_als_epoch_time
@@ -41,6 +40,7 @@ from ..gpusim.engine import SimEngine
 from ..gpusim.interconnect import INFINIBAND_FDR, Link
 from ..metrics.convergence import TrainingCurve
 from ..metrics.rmse import rmse
+from ..runtime.executor import ShardExecutor
 
 __all__ = ["ReplicationStrategy", "DistributedALS", "distributed_comm_bytes"]
 
@@ -145,6 +145,7 @@ class DistributedALS:
         self.sim_shape = sim_shape
         self.coverage = coverage
         self.engine = SimEngine(MAXWELL_TITANX)  # ledger/clock only
+        self.runtime = ShardExecutor()
         self.x_: np.ndarray | None = None
         self.theta_: np.ndarray | None = None
         self.history_: TrainingCurve | None = None
@@ -202,11 +203,12 @@ class DistributedALS:
         cost_x = self.half_step_cost(shape)
         cost_t = self.half_step_cost(shape.transpose())
         train_t = train.transpose()
+        half_step = functools.partial(
+            self.runtime.half_step, lam=cfg.lam, solver=SolverKind.LU, direct="cholesky"
+        )
         for epoch in range(1, epochs + 1):
-            A, b = hermitian_and_bias(train, self.theta_, cfg.lam)
-            self.x_ = cholesky_solve_batched(A, b)
-            A, b = hermitian_and_bias(train_t, self.x_, cfg.lam)
-            self.theta_ = cholesky_solve_batched(A, b)
+            self.x_ = half_step(train, self.theta_, key="x").factors
+            self.theta_ = half_step(train_t, self.x_, key="theta").factors
             self.engine.host("dist_compute", cost_x.compute + cost_t.compute, tag="compute")
             self.engine.transfer("dist_comm", cost_x.comm + cost_t.comm, tag="comm")
             test_rmse = rmse(self.x_, self.theta_, test) if test is not None else float("nan")

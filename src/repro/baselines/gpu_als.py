@@ -19,6 +19,8 @@ the paper's framing (Figure 1: cuMF_ALS = GPU-ALS + memory optimization
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..data.datasets import WorkloadShape
@@ -29,8 +31,7 @@ from ..metrics.convergence import TrainingCurve
 from ..metrics.rmse import rmse
 from ..core.als import ALSModel
 from ..core.config import ALSConfig, Precision, ReadScheme, SolverKind
-from ..core.direct import lu_solve_batched
-from ..core.hermitian import hermitian_rows
+from ..runtime.executor import ShardExecutor
 
 __all__ = ["gpu_als", "hpc_als", "BIDMachALS", "BIDMACH_ALS_GFLOPS"]
 
@@ -101,6 +102,7 @@ class BIDMachALS:
         self.sim_shape = sim_shape
         self.seed = seed
         self.engine = SimEngine(device)
+        self.runtime = ShardExecutor()
         self.x_: np.ndarray | None = None
         self.theta_: np.ndarray | None = None
         self.history_: TrainingCurve | None = None
@@ -129,13 +131,13 @@ class BIDMachALS:
         )
         secs = self.epoch_seconds(shape)
         train_t = train.transpose()
+        # Exact LU half-steps under BIDMach's count-independent λI.
+        half_step = functools.partial(
+            self.runtime.half_step, lam=self.lam, solver=SolverKind.LU, count_weighted_reg=False
+        )
         for epoch in range(1, epochs + 1):
-            A, b = hermitian_rows(
-                train, self.theta_, self.lam, count_weighted_reg=False
-            )
-            self.x_ = lu_solve_batched(A, b)
-            A, b = hermitian_rows(train_t, self.x_, self.lam, count_weighted_reg=False)
-            self.theta_ = lu_solve_batched(A, b)
+            self.x_ = half_step(train, self.theta_, key="x").factors
+            self.theta_ = half_step(train_t, self.x_, key="theta").factors
             self.engine.host("bidmach_epoch", secs, tag="bidmach")
             test_rmse = rmse(self.x_, self.theta_, test) if test is not None else float("nan")
             curve.record(epoch, self.engine.clock, test_rmse)

@@ -21,7 +21,7 @@ from .kernels import (
     hermitian_spec,
     lu_solver_seconds,
 )
-from .multi_gpu import MultiGpuALS, partition_rows
+from .multi_gpu import MultiGpuALS
 from .precision import max_abs_error, quantize, storage_bytes
 from .tensorcore import TensorCoreProjection, project_tensor_core_epoch
 from .tuning import TuneCandidate, TuneResult, tune_hermitian
@@ -65,7 +65,6 @@ __all__ = [
     "lu_solve_batched",
     "lu_solver_seconds",
     "max_abs_error",
-    "partition_rows",
     "quantize",
     "storage_bytes",
 ]

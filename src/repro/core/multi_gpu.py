@@ -6,11 +6,14 @@ devices; every device holds the full fixed factor matrix, computes its
 partition's normal equations and solutions, then the fresh factors are
 allgathered over NVLink before the next half-step.
 
-Numerics are computed once (they are identical to single-GPU ALS by
-construction); the cost is priced per device, with the slowest device
-plus the allgather setting the epoch clock — which is exactly why the
-paper sees near-linear speedups on Hugewiki (compute ≫ communication)
-but runs Netflix on one GPU.
+Each device is one shard of a :class:`~repro.runtime.executor
+.ShardExecutor` half-step under ``RuntimePlan(shards=num_gpus)``, so the
+numerics are single-GPU ALS's bit for bit (the executor's shard
+invariance); the cost is priced per device from those same
+:func:`~repro.runtime.executor.partition_rows` spans, with the slowest
+device plus the allgather setting the epoch clock — which is exactly why
+the paper sees near-linear speedups on Hugewiki (compute ≫
+communication) but runs Netflix on one GPU.
 """
 
 from __future__ import annotations
@@ -24,33 +27,12 @@ from ..gpusim.engine import SimEngine
 from ..gpusim.interconnect import NVLINK_P100, Link, allgather_time
 from ..metrics.convergence import TrainingCurve
 from ..metrics.rmse import rmse
-from .cg import cg_solve_batched
+from ..runtime.executor import ShardExecutor, partition_rows
+from ..runtime.plan import RuntimePlan
 from .config import ALSConfig, SolverKind
-from .direct import lu_solve_batched
-from .hermitian import hermitian_and_bias
 from .kernels import bias_spec, cg_iteration_spec, hermitian_spec, lu_solver_seconds
 
-__all__ = ["MultiGpuALS", "partition_rows"]
-
-
-def partition_rows(row_ptr: np.ndarray, num_parts: int) -> list[tuple[int, int]]:
-    """Split rows into ``num_parts`` contiguous ranges of balanced nnz.
-
-    Greedy split at the quantiles of the cumulative nnz — the same
-    static balancing the CUDA implementation uses when assigning row
-    ranges to devices.
-    """
-    if num_parts <= 0:
-        raise ValueError("num_parts must be positive")
-    m = len(row_ptr) - 1
-    total = int(row_ptr[-1])
-    bounds = [0]
-    for k in range(1, num_parts):
-        target = total * k / num_parts
-        cut = int(np.searchsorted(row_ptr, target, side="left"))
-        bounds.append(min(max(cut, bounds[-1]), m))
-    bounds.append(m)
-    return [(bounds[i], bounds[i + 1]) for i in range(num_parts)]
+__all__ = ["MultiGpuALS"]
 
 
 class MultiGpuALS:
@@ -72,6 +54,7 @@ class MultiGpuALS:
         self.link = link
         self.sim_shape = sim_shape
         self.engines = [SimEngine(device) for _ in range(num_gpus)]
+        self.runtime = ShardExecutor(RuntimePlan(shards=num_gpus))
         self.x_: np.ndarray | None = None
         self.theta_: np.ndarray | None = None
         self.history_: TrainingCurve | None = None
@@ -116,13 +99,16 @@ class MultiGpuALS:
         self, ratings: RatingMatrix, fixed: np.ndarray, warm: np.ndarray, side: str
     ) -> np.ndarray:
         cfg = self.config
-        # Numerics once, globally — identical to the per-partition result.
-        A, b = hermitian_and_bias(ratings, fixed, cfg.lam)
-        if cfg.solver is SolverKind.CG:
-            result = cg_solve_batched(A, b, x0=warm, config=cfg.cg, precision=cfg.precision)
-            new_factors, cg_iters = result.x, result.iterations
-        else:
-            new_factors, cg_iters = lu_solve_batched(A, b), 0
+        result = self.runtime.half_step(
+            ratings,
+            fixed,
+            warm,
+            lam=cfg.lam,
+            solver=cfg.solver,
+            cg_config=cfg.cg,
+            precision=cfg.precision,
+            key=side,
+        )
 
         # Price each device's share of the work.
         base = WorkloadShape(m=ratings.m, n=ratings.n, nnz=max(ratings.nnz, 1), f=cfg.f)
@@ -131,7 +117,7 @@ class MultiGpuALS:
         )
         shape = shape or base
         scale = shape.nnz / base.nnz
-        parts = partition_rows(ratings.row_ptr, self.num_gpus)
+        parts = partition_rows(ratings.row_ptr, self.runtime.plan.shards)
         tag = f"update_{side}"
         for eng, (lo, hi) in zip(self.engines, parts):
             rows = max(1, int(round((hi - lo) / base.m * shape.m)))
@@ -144,7 +130,7 @@ class MultiGpuALS:
             eng.launch(bias_spec(self.device, part_shape), tag=tag)
             if cfg.solver is SolverKind.CG:
                 spec = cg_iteration_spec(self.device, rows, shape.f, cfg.precision)
-                for _ in range(cg_iters):
+                for _ in range(result.cg_iterations):
                     eng.launch(spec, tag=tag)
             else:
                 eng.host("solve_lu", lu_solver_seconds(self.device, rows, shape.f), tag=tag)
@@ -155,4 +141,4 @@ class MultiGpuALS:
         for eng in self.engines:
             eng.sync_to(barrier)
             eng.transfer("allgather", comm, tag="comm")
-        return new_factors
+        return result.factors

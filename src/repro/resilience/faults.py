@@ -360,7 +360,7 @@ def expected_fault_events(
     """Enumerate every fault the plan injects over a run's shard geometry.
 
     ``spans_by_step[s]`` is the ``(lo, hi)`` shard list of half-step ``s``
-    (what :func:`repro.core.multi_gpu.partition_rows` produced).  Empty
+    (what :func:`repro.runtime.executor.partition_rows` produced).  Empty
     shards execute nothing and therefore inject nothing; a worker-kill
     pre-empts the site's other faults.  The result is directly comparable
     to :meth:`repro.resilience.health.RunHealth.account`.

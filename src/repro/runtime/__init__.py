@@ -24,7 +24,7 @@ of that discipline for the reproduction's real NumPy numerics:
 
 from .arena import Workspace
 from .autotune import AutotuneReport, autotune_plan
-from .executor import CsrView, HalfStepResult, ShardExecutor
+from .executor import CsrView, HalfStepResult, ShardExecutor, partition_rows
 from .plan import SERIAL_PLAN, HermitianMethod, RuntimePlan
 from .sanitizer import SanitizerError, sanitizer_enabled
 
@@ -39,5 +39,6 @@ __all__ = [
     "ShardExecutor",
     "Workspace",
     "autotune_plan",
+    "partition_rows",
     "sanitizer_enabled",
 ]

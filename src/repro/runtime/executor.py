@@ -3,9 +3,9 @@
 An ALS half-step — form every row's normal equations, solve them — is
 embarrassingly parallel across rows.  cuMF_ALS exploits that by handing
 contiguous nnz-balanced row ranges to thread blocks; this module does the
-same on the host: :func:`repro.core.multi_gpu.partition_rows` splits the
-row space into ``plan.shards`` contiguous ranges of roughly equal nnz,
-and :class:`ShardExecutor` runs them either serially in-process (the
+same on the host: :func:`partition_rows` splits the row space into
+``plan.shards`` contiguous ranges of roughly equal nnz, and
+:class:`ShardExecutor` runs them either serially in-process (the
 deterministic default) or on forked worker processes that write their
 row ranges in place into a :mod:`multiprocessing.shared_memory` output,
 with zero serialization of the results.
@@ -58,14 +58,33 @@ from ..core.cg import cg_solve_batched
 from ..core.config import CGConfig, Precision, SolverKind
 from ..core.direct import cholesky_solve_batched, lu_solve_batched
 from ..core.hermitian import hermitian_rows
-from ..core.multi_gpu import partition_rows
 from ..resilience.faults import InjectedWorkerKill, inject_shard_start, solver_fault_hook
 from ..resilience.health import RunHealth
 from . import sanitizer, supervisor
 from .arena import Workspace
 from .plan import SERIAL_PLAN, RuntimePlan, SupervisionPolicy
 
-__all__ = ["CsrView", "HalfStepResult", "ShardExecutor"]
+__all__ = ["CsrView", "HalfStepResult", "ShardExecutor", "partition_rows"]
+
+
+def partition_rows(row_ptr: np.ndarray, num_parts: int) -> list[tuple[int, int]]:
+    """Split rows into ``num_parts`` contiguous ranges of balanced nnz.
+
+    Greedy split at the quantiles of the cumulative nnz — the same
+    static balancing the CUDA implementation uses when assigning row
+    ranges to thread blocks or devices.
+    """
+    if num_parts <= 0:
+        raise ValueError("num_parts must be positive")
+    m = len(row_ptr) - 1
+    total = int(row_ptr[-1])
+    bounds = [0]
+    for k in range(1, num_parts):
+        target = total * k / num_parts
+        cut = int(np.searchsorted(row_ptr, target, side="left"))
+        bounds.append(min(max(cut, bounds[-1]), m))
+    bounds.append(m)
+    return [(bounds[i], bounds[i + 1]) for i in range(num_parts)]
 
 
 @dataclass(frozen=True)

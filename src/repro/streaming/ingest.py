@@ -5,13 +5,15 @@ engine updates exactly the rows whose data changed.  Each streamed
 rating is (1) made durable in the :class:`~repro.streaming.wal
 .RatingsWAL` and acked, (2) merged into the engine's rating corpus and
 marked in the **dirty-shard map**, and (3) folded in at the next
-:meth:`apply`: for every dirty shard, the dirty rows' normal equations
-are formed by the same :func:`~repro.core.hermitian.hermitian_rows`
-kernel the trainers use and solved by **warm-started**
-:func:`~repro.core.cg.cg_solve_batched` (``x0`` = the rows' current
-factors — the single-row solve shape the paper's batched CG was built
-for), user side first, then items against the just-updated user rows.
-Clean shards are never touched, so every row outside the dirty set is
+:meth:`apply`: each side's dirty rows are gathered into one compact
+sub-matrix and solved by **one** warm-started
+:meth:`~repro.runtime.executor.ShardExecutor.half_step` (``x0`` = the
+rows' current factors — the single-row solve shape the paper's batched
+CG was built for), under the same :class:`~repro.runtime.plan
+.RuntimePlan` kernels the trainers use; user side first, then items
+against the just-updated user rows.  A lane the solve leaves non-finite
+is never installed: an exact LU half-step over just the poisoned rows
+re-solves it.  Rows outside the dirty set are never touched, so they are
 **bit-identical** before and after an apply — the drill and VF112 pin
 that, not just assert it.
 
@@ -36,12 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.cg import cg_solve_batched
-from ..core.config import CGConfig, Precision
-from ..core.hermitian import hermitian_rows
-from ..core.multi_gpu import partition_rows
+# perfbench/spans.py traces the fold-in kernels through these two names.
+from ..core.cg import cg_solve_batched  # noqa: F401
+from ..core.config import CGConfig, Precision, SolverKind
+from ..core.hermitian import hermitian_rows  # noqa: F401
 from ..data.sparse import RatingMatrix
 from ..resilience.checkpoint import Checkpoint, latest_checkpoint, save_checkpoint
+from ..runtime.executor import CsrView, ShardExecutor, partition_rows
 from ..serving.health import ServingHealth
 from .delta import (
     DeltaCheckpoint,
@@ -165,6 +168,7 @@ class IngestEngine:
         self.tear_next_append = False
         self.poison_next_foldin = False
         self._last_repairs = 0
+        self.runtime = ShardExecutor()
 
         self.wal = RatingsWAL(
             os.path.join(self.directory, "wal"),
@@ -322,71 +326,46 @@ class IngestEngine:
         )
         return RatingMatrix.from_coo(rows, cols, vals, m=self.m, n=self.n)
 
-    def _gather(
-        self, matrix: RatingMatrix, rows: np.ndarray
-    ) -> RatingMatrix:
-        """Compact sub-matrix holding exactly ``rows`` (re-numbered 0..k)."""
-        parts_r, parts_c, parts_v = [], [], []
-        for i, u in enumerate(rows):
-            lo, hi = int(matrix.row_ptr[u]), int(matrix.row_ptr[u + 1])
-            parts_r.append(np.full(hi - lo, i, dtype=np.int64))
-            parts_c.append(matrix.col_idx[lo:hi].astype(np.int64))
-            parts_v.append(matrix.row_val[lo:hi])
-        if parts_r:
-            r = np.concatenate(parts_r)
-            c = np.concatenate(parts_c)
-            v = np.concatenate(parts_v)
-        else:
-            r = np.empty(0, dtype=np.int64)
-            c = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.float32)
-        return RatingMatrix.from_coo(r, c, v, m=len(rows), n=matrix.n)
+    @staticmethod
+    def _gather(matrix: RatingMatrix | CsrView, rows: np.ndarray) -> CsrView:
+        """CSR view holding exactly ``rows`` (re-numbered 0..k), in CSR order."""
+        lo, hi = matrix.row_ptr[rows], matrix.row_ptr[rows + 1]
+        row_ptr = np.concatenate(([0], np.cumsum(hi - lo)))
+        idx = np.repeat(lo - row_ptr[:-1], hi - lo) + np.arange(row_ptr[-1])
+        return CsrView(len(rows), matrix.n, row_ptr, matrix.col_idx[idx], matrix.row_val[idx])
 
-    def _solve_rows(
+    def _solve(
         self,
-        matrix: RatingMatrix,
+        sub: CsrView,
         fixed: np.ndarray,
-        rows: np.ndarray,
-        warm: np.ndarray,
+        warm: np.ndarray | None,
+        *,
+        key: str,
+        solver: SolverKind = SolverKind.CG,
     ) -> np.ndarray:
-        """Warm-started fold-in solve for one dirty-shard row set."""
+        """One half-step over every row of ``sub``, into the ``key`` buffer."""
         cfg = self.config
-        sub = self._gather(matrix, rows)
         if cfg.alpha is None:
-            A, b = hermitian_rows(sub, fixed, cfg.lam, count_weighted_reg=True)
-        else:
-            A, b = hermitian_rows(
-                sub,
-                fixed,
-                0.0,
-                entry_weights=cfg.alpha * sub.row_val,
-                bias_values=1.0 + cfg.alpha * sub.row_val,
-                count_weighted_reg=False,
-            )
-            gram = (fixed.T @ fixed).astype(np.float32)
-            A += gram[None, :, :]
-            A[:, np.arange(self.f), np.arange(self.f)] += np.float32(cfg.lam)
-        result = cg_solve_batched(
-            A, b, x0=warm.copy(), config=cfg.cg, precision=cfg.precision
-        )
-        solved = result.x
-        if self.poison_next_foldin:
-            # The armed fold-in-nan fault: one solved lane is flipped to
-            # NaN before install, as a corrupted solver store would.
-            self.poison_next_foldin = False
-            solved[0] = np.nan
-        bad = ~np.all(np.isfinite(solved), axis=1)
-        if np.any(bad):
-            # Never install a poisoned row: re-solve broken lanes from
-            # the pristine normal equations (exact, like the guard
-            # ladder's LU rung).
-            idx = np.flatnonzero(bad)
-            solved[idx] = np.linalg.solve(
-                A[idx].astype(np.float64), b[idx].astype(np.float64)[..., None]
-            )[..., 0].astype(np.float32)
-            self.foldin_repairs += len(idx)
-            self._last_repairs += len(idx)
-        return solved
+            hooks = {"lam": cfg.lam}
+        else:  # exactly ImplicitALSModel's half-step hooks
+            hooks = {
+                "lam": 0.0,
+                "gram": fixed.T @ fixed,
+                "extra_diag": cfg.lam,
+                "entry_weights": cfg.alpha * sub.row_val,
+                "bias_values": 1.0 + cfg.alpha * sub.row_val,
+                "count_weighted_reg": False,
+            }
+        return self.runtime.half_step(
+            sub,
+            fixed,
+            warm,
+            solver=solver,
+            cg_config=cfg.cg,
+            precision=cfg.precision,
+            key=key,
+            **hooks,
+        ).factors
 
     def _fold_side(
         self,
@@ -394,31 +373,36 @@ class IngestEngine:
         fixed: np.ndarray,
         target: np.ndarray,
         dirty: set[int],
+        key: str,
     ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """One half of an apply: solve dirty rows shard-by-shard."""
-        if not dirty:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self.f), dtype=np.float32),
-                (),
-            )
+        """One half of an apply: one warm-started solve of the dirty rows."""
+        ids = np.array(sorted(dirty), dtype=np.int64)
+        if ids.size == 0:
+            return ids, np.empty((0, self.f), dtype=np.float32), ()
         spans = partition_rows(matrix.row_ptr, self.config.shards)
-        dirty_sorted = np.array(sorted(dirty), dtype=np.int64)
-        out_rows: list[np.ndarray] = []
-        out_ids: list[np.ndarray] = []
-        shards_hit: list[int] = []
-        for shard, (lo, hi) in enumerate(spans):
-            in_shard = dirty_sorted[(dirty_sorted >= lo) & (dirty_sorted < hi)]
-            if in_shard.size == 0:
-                continue  # clean shard: never touched
-            shards_hit.append(shard)
-            solved = self._solve_rows(matrix, fixed, in_shard, target[in_shard])
-            out_ids.append(in_shard)
-            out_rows.append(solved)
-        ids = np.concatenate(out_ids)
-        rows = np.concatenate(out_rows)
+        shards_hit = tuple(
+            shard for shard, (lo, hi) in enumerate(spans) if np.any((ids >= lo) & (ids < hi))
+        )
+        sub = self._gather(matrix, ids)
+        solved = self._solve(sub, fixed, target[ids], key=key)
+        if self.poison_next_foldin:
+            # The armed fold-in-nan fault: one solved lane is flipped to
+            # NaN before install, as a corrupted solver store would.
+            self.poison_next_foldin = False
+            solved[0] = np.nan
+        bad = np.flatnonzero(~np.all(np.isfinite(solved), axis=1))
+        if bad.size:
+            # Never install a poisoned row: re-solve broken lanes from
+            # their pristine normal equations (exact, like the guard
+            # ladder's LU rung).
+            solved[bad] = self._solve(
+                self._gather(sub, bad), fixed, None, key="repair", solver=SolverKind.LU
+            )
+            self.foldin_repairs += bad.size
+            self._last_repairs += bad.size
+        rows = solved.copy()  # the executor reuses its buffer next apply
         target[ids] = rows
-        return ids, rows, tuple(shards_hit)
+        return ids, rows, shards_hit
 
     def apply(
         self,
@@ -454,10 +438,10 @@ class IngestEngine:
         self._last_repairs = 0
         matrix = self._matrix()
         users, user_rows, user_shards = self._fold_side(
-            matrix, self.theta, self.x, self._dirty_users
+            matrix, self.theta, self.x, self._dirty_users, "x"
         )
         items, item_rows, item_shards = self._fold_side(
-            matrix.transpose(), self.x, self.theta, self._dirty_items
+            matrix.transpose(), self.x, self.theta, self._dirty_items, "theta"
         )
         applied_seqs = tuple(seq for seq, *_rest in self._pending)
         parent = self._digest

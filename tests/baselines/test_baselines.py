@@ -15,7 +15,7 @@ from repro.baselines import (
     hpc_als,
     implicit_epoch_seconds,
 )
-from repro.core import ALSConfig, ALSModel
+from repro.core import ALSConfig, ALSModel, hermitian_rows, lu_solve_batched
 from repro.data import WorkloadShape, get_dataset, load_surrogate
 from repro.gpusim import KEPLER_K40, MAXWELL_TITANX
 
@@ -143,6 +143,22 @@ class TestBIDMach:
             split.train, split.test, epochs=6
         )
         assert bid.best_rmse > ours.best_rmse
+
+    def test_factors_match_seed_composition(self, small):
+        """The executor half-step is the hand-rolled hermitian + LU loop."""
+        split, _ = small
+        f, lam, epochs = 8, 0.05, 2
+        model = BIDMachALS(f=f, lam=lam, seed=3)
+        model.fit(split.train, epochs=epochs)
+        train, train_t = split.train, split.train.transpose()
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 0.1, (train.m, f)).astype(np.float32)
+        theta = rng.normal(0, 0.1, (train.n, f)).astype(np.float32)
+        for _ in range(epochs):
+            x = lu_solve_batched(*hermitian_rows(train, theta, lam, count_weighted_reg=False))
+            theta = lu_solve_batched(*hermitian_rows(train_t, x, lam, count_weighted_reg=False))
+        assert np.array_equal(model.x_, x)
+        assert np.array_equal(model.theta_, theta)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the distributed CPU ALS baselines (Table V strategies)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.distributed_als import (
@@ -7,7 +8,7 @@ from repro.baselines.distributed_als import (
     ReplicationStrategy,
     distributed_comm_bytes,
 )
-from repro.core import ALSConfig, ALSModel
+from repro.core import ALSConfig, ALSModel, cholesky_solve_batched, hermitian_rows
 from repro.data import get_dataset, load_surrogate
 
 NETFLIX = get_dataset("netflix").paper
@@ -77,6 +78,22 @@ class TestDistributedALS:
             ALSConfig(f=16, lam=spec.lam, solver=SolverKind.LU)
         ).fit(split.train, split.test, epochs=3)
         assert c_dist.final_rmse == pytest.approx(local.final_rmse, abs=0.01)
+
+    def test_factors_match_seed_composition(self, small):
+        """The executor half-step is the hand-rolled hermitian + Cholesky loop."""
+        split, spec = small
+        cfg = ALSConfig(f=8, lam=spec.lam, seed=5)
+        model = DistributedALS(cfg, num_nodes=4)
+        model.fit(split.train, epochs=2)
+        train, train_t = split.train, split.train.transpose()
+        rng = np.random.default_rng(cfg.seed)
+        x = rng.normal(0, cfg.init_scale, (train.m, cfg.f)).astype(np.float32)
+        theta = rng.normal(0, cfg.init_scale, (train.n, cfg.f)).astype(np.float32)
+        for _ in range(2):
+            x = cholesky_solve_batched(*hermitian_rows(train, theta, cfg.lam))
+            theta = cholesky_solve_batched(*hermitian_rows(train_t, x, cfg.lam))
+        assert np.array_equal(model.x_, x)
+        assert np.array_equal(model.theta_, theta)
 
     def test_strategies_identical_numerics(self, small):
         split, spec = small

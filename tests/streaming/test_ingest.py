@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import cg_solve_batched, hermitian_rows, lu_solve_batched
 from repro.core.config import CGConfig
 from repro.data.sparse import RatingMatrix
+from repro.runtime.executor import partition_rows
 from repro.serving.health import ServingHealth
 from repro.streaming import IngestConfig, IngestEngine
 from repro.streaming.delta import list_deltas
@@ -37,6 +39,40 @@ def stream_ops(count, seed=0, m=12, n=9):
          float(rng.uniform(1.0, 5.0)))
         for _ in range(count)
     ]
+
+
+def seed_fold_side(corpus, fixed, target, dirty, cfg, poison):
+    """One fold-in side as composed by hand: per dirty shard, hermitian
+    rows + warm-started CG, poisoned lanes re-solved by LU."""
+    csr, f = corpus.to_scipy(), fixed.shape[1]
+    ids = np.array(sorted(dirty), dtype=np.int64)
+    solved = []
+    for lo, hi in partition_rows(corpus.row_ptr, cfg.shards):
+        rows = ids[(ids >= lo) & (ids < hi)]
+        if rows.size == 0:
+            continue
+        sub = RatingMatrix.from_scipy(csr[rows])
+        if cfg.alpha is None:
+            A, b = hermitian_rows(sub, fixed, cfg.lam)
+        else:
+            A, b = hermitian_rows(
+                sub, fixed, 0.0,
+                entry_weights=cfg.alpha * sub.row_val,
+                bias_values=1.0 + cfg.alpha * sub.row_val,
+                count_weighted_reg=False,
+            )
+            A += (fixed.T @ fixed)[None]
+            A[:, np.arange(f), np.arange(f)] += np.float32(cfg.lam)
+        x = cg_solve_batched(
+            A, b, x0=target[rows].copy(), config=cfg.cg, precision=cfg.precision
+        ).x
+        if poison:
+            x[0], poison = np.nan, False
+        bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
+        x[bad] = lu_solve_batched(A[bad], b[bad])
+        solved.append(x)
+    target[ids] = np.concatenate(solved)
+    return ids, target[ids]
 
 
 class TestIngestAck:
@@ -135,6 +171,34 @@ class TestChaosHooks:
         kinds = [e.kind for e in health.events]
         assert kinds == ["wal.recovered", "ingest.acked"]
         assert [r.seq for r in engine.wal.replay()] == [0, 1]
+        engine.close()
+
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_foldin_matches_seed_composition(self, tmp_path, alpha):
+        """One apply equals the hand-rolled kernels, poisoned lane included."""
+        engine, ratings, x, theta = make_engine(tmp_path, alpha=alpha)
+        ops = stream_ops(9, seed=3)
+        corpus = ratings.to_scipy().todok()
+        for u, v, r in ops:
+            engine.ingest(u, v, r)
+            corpus[u, v] = r
+        corpus = RatingMatrix.from_scipy(corpus.tocsr())
+        engine.poison_next_foldin = True
+        result = engine.apply()
+        cfg = engine.config
+        users, user_rows = seed_fold_side(
+            corpus, theta, x, {u for u, _v, _r in ops}, cfg, poison=True
+        )
+        items, item_rows = seed_fold_side(
+            corpus.transpose(), x, theta, {v for _u, v, _r in ops}, cfg, poison=False
+        )
+        assert result.foldin_repairs == 1
+        assert np.array_equal(result.users, users)
+        assert np.array_equal(result.items, items)
+        assert np.array_equal(result.user_rows, user_rows)
+        assert np.array_equal(result.item_rows, item_rows)
+        assert engine.x.tobytes() == x.tobytes()
+        assert engine.theta.tobytes() == theta.tobytes()
         engine.close()
 
     def test_poisoned_foldin_repaired_before_install(self, tmp_path):

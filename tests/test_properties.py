@@ -19,7 +19,6 @@ from repro.core import (
     lu_solve_batched,
     quantize,
 )
-from repro.core.multi_gpu import partition_rows
 from repro.data import RatingMatrix, train_test_split
 from repro.gpusim import (
     SetAssociativeCache,
@@ -27,6 +26,7 @@ from repro.gpusim import (
     coalesced,
     strided,
 )
+from repro.runtime.executor import partition_rows
 
 settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow]
