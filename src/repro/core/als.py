@@ -78,10 +78,13 @@ class ALSModel:
     runtime:
         Host execution strategy: a :class:`~repro.runtime.plan.RuntimePlan`
         (or a ready :class:`~repro.runtime.executor.ShardExecutor`) that
-        controls chunking, sharding, workers and workspace reuse.  The
-        default serial plan is bit-identical to computing the half-steps
-        directly; every plan produces bit-identical factors (the VF107
-        invariant), so this is purely a wall-clock knob.
+        controls the kernel pair, chunking, sharding, workers and
+        workspace reuse.  The default plan runs the fast ``grouped`` +
+        ``fused`` kernels; :data:`~repro.runtime.plan.ORACLE_PLAN` is
+        bit-identical to computing the half-steps with the seed kernels.
+        Within one kernel pair every layout produces bit-identical
+        factors (the VF107 invariant), so the layout is purely a
+        wall-clock knob.
     """
 
     def __init__(

@@ -25,9 +25,9 @@ per-system best iterate recorded while that lane was active.
 
 The primitive kernels of the hot loop — FP16 staging, the batched
 matvec, the lane-wise dots — are pluggable (see
-:mod:`repro.core.cg_backends`): ``backend="reference"`` (the default) is
-bit-identical to the seed implementation, ``backend="fused"`` is the
-batched-GEMM fast path the autotuner selects.
+:mod:`repro.core.cg_backends`): ``backend="reference"`` (the kernel
+default) is bit-identical to the seed implementation, ``backend="fused"``
+is the batched-GEMM fast path the default runtime plan runs.
 
 All large intermediates can be staged through a ``workspace`` arena (see
 :mod:`repro.runtime.arena`) and the solution written to a caller-provided

@@ -10,13 +10,14 @@ compaction, guards) is written once while the *kernels* stay swappable:
 
 ``reference``
     The frozen oracle: exactly the seed implementation's einsum matvec
-    and clip→f16→f32 staging, call for call.  Every bit-identity test in
-    the repo pins against this backend, and it is the default everywhere
-    (``cg_solve_batched``, :class:`~repro.runtime.plan.RuntimePlan`), so
-    existing callers see unchanged bits.
+    and clip→f16→f32 staging, call for call.  It is the kernel-level
+    default (``cg_solve_batched``) and the backend of
+    :data:`~repro.runtime.plan.ORACLE_PLAN`, so direct kernel callers
+    and every seed bit-identity test see unchanged bits.
 
 ``fused``
-    The fast path, in the mold of cuMF_ALS's fused batched solvers: the
+    The fast path and the default :class:`~repro.runtime.plan.RuntimePlan`
+    backend, in the mold of cuMF_ALS's fused batched solvers: the
     per-iteration matvec is one ``(lanes, 1, f) @ (lanes, f, f)`` batched
     GEMM (``np.matmul`` over the contiguous lane-major store — legitimate
     because CG's input contract already requires symmetric A, and faster

@@ -25,7 +25,7 @@ of that discipline for the reproduction's real NumPy numerics:
 from .arena import Workspace
 from .autotune import AutotuneReport, autotune_plan
 from .executor import CsrView, HalfStepResult, ShardExecutor, partition_rows
-from .plan import SERIAL_PLAN, HermitianMethod, RuntimePlan
+from .plan import ORACLE_PLAN, HermitianMethod, RuntimePlan
 from .sanitizer import SanitizerError, sanitizer_enabled
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
     "CsrView",
     "HalfStepResult",
     "HermitianMethod",
+    "ORACLE_PLAN",
     "RuntimePlan",
-    "SERIAL_PLAN",
     "SanitizerError",
     "ShardExecutor",
     "Workspace",

@@ -6,13 +6,15 @@ module does what cuMF's autotuning mode does instead: run the dominant
 kernel on a small warm-up slice under each candidate configuration and
 keep the fastest.  Chunk size is a real lever on the host — too large
 thrashes the cache with the O(nnz·f²) outer-product scratch, too small
-drowns in per-chunk overhead — and the two hermitian kernels win on
-different shapes, so both knobs are measured rather than guessed.
+drowns in per-chunk overhead — so the chunk knob is measured rather
+than guessed.  Only the ``grouped`` hermitian kernel is timed by
+default: the ``reduceat`` oracle lost every committed candidate by
+6.6–32×, and a caller can still time it through ``methods=``.
 
 Worker count is chosen from the visible CPU budget: sharded processes
 only pay off with real parallel hardware, so a single-CPU host gets the
-serial plan (which is also the bit-exact reference — see
-:mod:`repro.runtime.executor`).
+serial plan (bit-identical to every other layout of the chosen kernel
+pair — see :mod:`repro.runtime.executor`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..core.cg import cg_solve_batched
 from ..core.config import CGConfig, Precision
 from ..core.hermitian import hermitian_rows
 from .arena import Workspace
-from .plan import CG_BACKENDS, HERMITIAN_METHODS, RuntimePlan
+from .plan import CG_BACKENDS, HERMITIAN_METHODS, ORACLE_PLAN, RuntimePlan
 
 __all__ = ["AutotuneReport", "CHUNK_CANDIDATES", "autotune_plan"]
 
@@ -91,7 +93,7 @@ def autotune_plan(
     *,
     warmup_nnz: int = 100_000,
     repeats: int = 2,
-    methods: tuple[str, ...] = HERMITIAN_METHODS,
+    methods: tuple[str, ...] = ("grouped",),
     cg_backends: tuple[str, ...] = CG_BACKENDS,
     cg_config: CGConfig | None = None,
     workers: int | None = None,
@@ -112,11 +114,16 @@ def autotune_plan(
     repeats:
         Timed repetitions per candidate after one untimed warm-up call;
         the best (minimum) time is kept, which rejects scheduler noise.
+    methods:
+        Hermitian kernels to sweep (each crossed with the chunk
+        candidates).  Defaults to ``grouped`` alone; pass
+        ``HERMITIAN_METHODS`` to time the ``reduceat`` oracle too.
     cg_backends:
         CG kernel backends to sweep (each crossed with the compaction
         modes ``None``/``True``); the fastest pair becomes the plan's
         ``cg_backend``/``compact_cg``.  Pass ``()`` to skip the CG
-        sweep and keep the plan defaults (``reference``, ``None``).
+        sweep and keep the oracle's untimed choice (``reference``,
+        ``None``).
     cg_config:
         CG configuration the sweep should time under; ``None`` uses the
         solver default.  Bench passes its real per-epoch config so the
@@ -250,7 +257,7 @@ def autotune_plan(
         shards=shards,
         workers=workers,
         compact_cg=cg_best[2] if cg_best is not None else None,
-        cg_backend=cg_best[1] if cg_best is not None else "reference",
+        cg_backend=cg_best[1] if cg_best is not None else ORACLE_PLAN.cg_backend,
         arena=arena,
         index_budget=index_budget,
     )

@@ -5,14 +5,15 @@ Netflix-*shape* surrogate (Zipf-popular items, planted low-rank signal —
 scaled down so CI finishes in seconds), once along the **legacy** path
 (the seed implementation: fresh scratch per chunk, dense CG sweeps, no
 sharding) and once along the **optimized** path (autotuned plan through
-:class:`~repro.runtime.executor.ShardExecutor`).  When the tuned plan
-keeps the ``reduceat`` kernel and the ``reference`` CG backend the
-factors are bit-identical and the report asserts it; a ``grouped`` plan
-or the ``fused`` CG backend reorders float sums, so there the
-report asserts *objective equivalence* — both epochs reach the same
-training loss — which is the paper's approximate-computing contract
-(truncated CG iterates are chaotic in their low bits by design, the
-converged loss is what must agree).
+:class:`~repro.runtime.executor.ShardExecutor`).  The legacy leg always
+runs the oracle kernels (``reduceat`` + ``reference``).  The tuner
+sweeps only the ``grouped`` kernel by default and the CG sweep usually
+picks ``fused``, so the optimized leg reorders float sums: the report
+asserts *objective equivalence* — both epochs reach the same training
+loss — which is the paper's approximate-computing contract (truncated
+CG iterates are chaotic in their low bits by design, the converged loss
+is what must agree).  A plan on the oracle kernel pair is held to
+bit-identical factors instead.
 
 The emitted ``BENCH_runtime.json`` (schema ``repro.bench/v1``) records
 *speedup ratios*, not absolute seconds: ratios of two legs measured in

@@ -22,9 +22,10 @@ Determinism is by construction, not by luck:
   accounting folds with order-independent reductions (``max`` of
   iterations, ``sum`` of matvecs).
 
-Hence the factors are **bit-identical** for any ``shards``/``workers``/
-``chunk_elems`` choice — the property the VF107 verification rule and
-the runtime test suite pin down.
+Hence, for one kernel pair (``plan.method``, ``plan.cg_backend``), the
+factors are **bit-identical** for any ``shards``/``workers``/
+``chunk_elems``/arena/compaction choice — the property the VF107
+verification rule and the runtime test suite pin down.
 
 Workers are forked through :mod:`repro.runtime.supervisor`, which this
 module shares with the serving fleet.  ``half_step`` has two paths: the
@@ -62,7 +63,7 @@ from ..resilience.faults import InjectedWorkerKill, inject_shard_start, solver_f
 from ..resilience.health import RunHealth
 from . import sanitizer, supervisor
 from .arena import Workspace
-from .plan import SERIAL_PLAN, RuntimePlan, SupervisionPolicy
+from .plan import RuntimePlan, SupervisionPolicy
 
 __all__ = ["CsrView", "HalfStepResult", "ShardExecutor", "partition_rows"]
 
@@ -352,7 +353,7 @@ class ShardExecutor:
 
     def __init__(
         self,
-        plan: RuntimePlan = SERIAL_PLAN,
+        plan: RuntimePlan = RuntimePlan(),
         *,
         supervision: SupervisionPolicy | None = None,
         faults=None,

@@ -8,6 +8,13 @@ many OS processes execute the shards (``workers`` — the SMs).  Plans are
 plain data so they can be produced by the autotuner, serialized into
 bench reports and compared across machines.
 
+Numerics are fixed per *kernel pair* (``method``, ``cg_backend``): every
+layout of one pair — shards, workers, chunking, arena, CG compaction —
+produces bit-identical factors and CG counters.  The default
+``RuntimePlan()`` runs the fast pair (``grouped`` + ``fused``);
+:data:`ORACLE_PLAN` runs the seed kernels (``reduceat`` + ``reference``)
+and is bit-identical to the seed pipeline.
+
 This module is dependency-free on purpose: it sits at the bottom of the
 ``core`` ↔ ``runtime`` import cycle (core models consume plans, the
 executor consumes core kernels).
@@ -20,23 +27,24 @@ from dataclasses import dataclass
 __all__ = [
     "CG_BACKENDS",
     "HermitianMethod",
+    "ORACLE_PLAN",
     "RuntimePlan",
-    "SERIAL_PLAN",
     "SupervisionPolicy",
 ]
 
 #: The two host kernels for forming the normal equations.  ``reduceat``
 #: is the seed implementation (outer products + segment reduction), kept
-#: as the bit-exact reference; ``grouped`` buckets rows by observation
-#: count and runs one batched BLAS matmul per bucket — the same
-#: regularize-the-irregular trick the paper's register tiling performs.
+#: as the bit-exact oracle; ``grouped`` (the plan default) buckets rows by
+#: observation count and runs one batched BLAS matmul per bucket — the
+#: same regularize-the-irregular trick the paper's register tiling
+#: performs.
 HERMITIAN_METHODS = ("reduceat", "grouped")
 
 #: Kernel backends of the batched CG solver.  ``reference`` is the seed
-#: implementation's kernels, kept as the bit-exact oracle; ``fused``
-#: replaces the per-iteration einsum with one batched GEMM and stages
-#: FP16 in the float32 bit domain (cuMF_ALS's fused-batched-solver
-#: shape).  Plain strings mirroring ``repro.core.cg_backends`` — this
+#: implementation's kernels, kept as the bit-exact oracle; ``fused`` (the
+#: plan default) replaces the per-iteration einsum with one batched GEMM
+#: and stages FP16 in the float32 bit domain (cuMF_ALS's
+#: fused-batched-solver shape).  Plain strings mirroring ``repro.core.cg_backends`` — this
 #: module deliberately imports nothing from ``core``; a test pins the
 #: two registries in sync.
 CG_BACKENDS = ("reference", "fused")
@@ -52,7 +60,8 @@ class RuntimePlan:
     Parameters
     ----------
     method:
-        Hermitian formation kernel, ``"reduceat"`` or ``"grouped"``.
+        Hermitian formation kernel, ``"grouped"`` (the default) or the
+        oracle ``"reduceat"``.
     chunk_elems:
         Scratch budget per hermitian chunk, in float32 *elements* —
         ``nnz·f²`` for ``reduceat``, ``nnz·f`` for ``grouped``.
@@ -67,10 +76,12 @@ class RuntimePlan:
         ``None`` lets the solver decide per iteration, ``True``/``False``
         force it (results are bit-identical either way).
     cg_backend:
-        CG kernel backend, one of :data:`CG_BACKENDS`.  ``"reference"``
-        (the default) keeps the plan's numerics bit-identical to the
-        seed; ``"fused"`` is the autotuner's fast path, equivalent
-        within the VF006-derived tolerances.
+        CG kernel backend, one of :data:`CG_BACKENDS`.  ``"fused"`` (the
+        default) is the fast path, equivalent to the oracle
+        ``"reference"`` within the VF006-derived tolerances;
+        ``"reference"`` (with ``method="reduceat"``, see
+        :data:`ORACLE_PLAN`) keeps the numerics bit-identical to the
+        seed.
     arena:
         Reuse workspace buffers across chunks and epochs.  Disabling
         restores the seed's allocate-per-chunk behaviour (the bench's
@@ -86,12 +97,12 @@ class RuntimePlan:
         longer than the operator budgeted.
     """
 
-    method: str = "reduceat"
+    method: str = "grouped"
     chunk_elems: int = 64_000_000
     shards: int = 1
     workers: int = 0
     compact_cg: bool | None = None
-    cg_backend: str = "reference"
+    cg_backend: str = "fused"
     arena: bool = True
     index_budget: int | None = None
 
@@ -134,14 +145,21 @@ class RuntimePlan:
         """Rebuild a plan from :meth:`as_dict` output (bench reports).
 
         Missing keys fall back to the field defaults so reports written
-        before a field existed still load; unknown keys are an error so
-        a typo'd report can't silently deserialize to the default plan.
+        before a field existed still load — except the kernel pair: a
+        report without ``method`` or ``cg_backend`` ran the oracle
+        kernels, so those load as :data:`ORACLE_PLAN`'s.  Unknown keys
+        are an error so a typo'd report can't silently deserialize to
+        the default plan.
         """
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown RuntimePlan keys: {sorted(unknown)}")
-        return cls(**data)
+        oracle_pair = {
+            "method": ORACLE_PLAN.method,
+            "cg_backend": ORACLE_PLAN.cg_backend,
+        }
+        return cls(**(oracle_pair | data))
 
 
 @dataclass(frozen=True)
@@ -212,5 +230,7 @@ class SupervisionPolicy:
         }
 
 
-#: The default plan: numerics bit-identical to the seed implementation.
-SERIAL_PLAN = RuntimePlan()
+#: The bit-exact oracle: the seed kernels in the default layout.  It and
+#: every layout of its kernel pair are bit-identical to the seed pipeline
+#: (``hermitian_and_bias`` + ``cg_solve_batched`` at their defaults).
+ORACLE_PLAN = RuntimePlan(method="reduceat", cg_backend="reference")

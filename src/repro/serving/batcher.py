@@ -166,6 +166,11 @@ class MicroBatcher:
         starts = index.cell_ptr[cells]
         ends = index.cell_ptr[cells + 1]
         self.index_routed += g
+        # Candidate scratch is sized for the largest set any p-cell probe
+        # of this index can select, not for this request's set, so the
+        # arena grows once per (index, p) rather than whenever a request
+        # probes more items than any before it.
+        capacity = index.probe_capacity(p)
         for j, i in enumerate(rows):
             s, e = starts[j], ends[j]
             # Merge the sorted probed cells into contiguous [lo, hi)
@@ -183,8 +188,8 @@ class MicroBatcher:
                 results[i] = []
                 continue
             sel_scores = ws.request(
-                "serving.index.scores", (n_sel,), np.float32
-            )
+                "serving.index.scores", (capacity,), np.float32
+            )[:n_sel]
             u = xg[j]
             # BLAS gemv tails process the out buffer in full SIMD width,
             # so stale bytes past the slice (arena scratch from earlier,
@@ -205,8 +210,8 @@ class MicroBatcher:
                 continue
             if request.exclude:
                 sel_items = ws.request(
-                    "serving.index.items", (n_sel,), np.int64
-                )
+                    "serving.index.items", (capacity,), np.int64
+                )[:n_sel]
                 for r in range(lo.size):
                     sel_items[cums[r] : cums[r + 1]] = index.perm[
                         lo[r] : hi[r]

@@ -217,6 +217,10 @@ class ItemIndex:
         #: Empty cells carry no candidates; masking them out of the
         #: ranking stops them wasting probe slots.
         self.empty_mask = cell_ptr[1:] == cell_ptr[:-1]
+        #: ``_largest_cells[p]`` is the item count of the ``p`` largest
+        #: cells — the cell geometry never changes after the build.
+        sizes = np.sort(np.diff(cell_ptr))[::-1]
+        self._largest_cells = np.concatenate(([0], np.cumsum(sizes)))
 
     @property
     def ncells(self) -> int:
@@ -229,6 +233,12 @@ class ItemIndex:
     @property
     def f(self) -> int:
         return self.centroids.shape[1]
+
+    def probe_capacity(self, nprobe: int) -> int:
+        """Most candidates any ``nprobe``-cell probe can select: the sum
+        of the ``nprobe`` largest cells (the batcher sizes its probe
+        scratch from it, so varied probes never regrow the arena)."""
+        return int(self._largest_cells[min(max(1, nprobe), self.ncells)])
 
     def select_cells(
         self, u: np.ndarray, nprobe: int, *, bounds: np.ndarray | None = None

@@ -192,11 +192,12 @@ class RuntimeCase:
 
     The runtime layer promises that chunk size, shard count, worker
     processes, workspace reuse and CG compaction are pure wall-clock
-    knobs: the produced factors (and the solver's iteration/matvec
-    accounting) must be **bit-identical** to running the raw kernels
-    directly.  The case carries one plan geometry to replay; the check
-    compares it — plus a few fixed contrasting plans — against the
-    reference half-step.
+    knobs: within one kernel pair the produced factors (and the solver's
+    iteration/matvec accounting) must be **bit-identical** — to the raw
+    seed kernels for ``ORACLE_PLAN``, to the default serial run for the
+    default pair.  The case carries one plan geometry to replay; the
+    check runs it — plus a few fixed contrasting layouts — under both
+    kernel pairs.
     """
 
     m: int

@@ -26,11 +26,13 @@ structure — a violation is a bug, never noise:
            arithmetic is per-SM).
 ``VF106``  the analytic cache hit rate is non-increasing in working-set
            size and bounded by ``(r-1)/r`` (Solution 2's spill model).
-``VF107``  the runtime layer is a pure performance knob: a half-step
-           through :class:`~repro.runtime.executor.ShardExecutor` is
-           bit-identical to the raw solver pipeline for every plan —
-           any shard count, worker count, chunk size, arena on or off,
-           CG compaction on or off (§III Solutions 1-2 change *where*
+``VF107``  the runtime layout is a pure performance knob: within one
+           kernel pair, a half-step through
+           :class:`~repro.runtime.executor.ShardExecutor` is
+           bit-identical for any shard count, worker count, chunk size,
+           arena on or off, CG compaction on or off — ``ORACLE_PLAN``
+           layouts to the raw seed pipeline, default-pair layouts to
+           the default serial run (§III Solutions 1-2 change *where*
            work runs, never *what* it computes).
 ``VF108``  the resilience layer recovers: a supervised ALS run with
            seeded faults injected (worker kills, delays, NaN flips,
@@ -79,6 +81,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,7 +110,7 @@ from ..resilience.faults import (
 from ..resilience.guards import GuardPolicy
 from ..resilience.health import RunHealth
 from ..runtime.executor import ShardExecutor
-from ..runtime.plan import RuntimePlan, SupervisionPolicy
+from ..runtime.plan import ORACLE_PLAN, RuntimePlan, SupervisionPolicy
 from ..serving.batcher import MicroBatcher
 from ..serving.engine import ServingConfig, ServingEngine
 from ..serving.fleet import FleetConfig, FleetEngine
@@ -489,88 +492,94 @@ def check_cache_monotone(case: CacheCase) -> list[Diagnostic]:
     return findings
 
 
-def check_runtime_determinism(case: RuntimeCase) -> list[Diagnostic]:
-    """VF107: every runtime plan reproduces the raw pipeline bit-for-bit.
+def _runtime_layouts(case: RuntimeCase, pair: RuntimePlan) -> dict[str, RuntimePlan]:
+    """The case's layouts of one kernel pair (everything but the pair)."""
+    layouts = {
+        "serial": {},
+        "sharded": dict(chunk_elems=case.chunk_elems, shards=case.shards),
+        "no-arena": dict(chunk_elems=case.chunk_elems, shards=case.shards, arena=False),
+        "compact": dict(shards=case.shards, compact_cg=True),
+    }
+    if case.workers:
+        layouts["workers"] = dict(
+            chunk_elems=case.chunk_elems, shards=case.shards, workers=case.workers
+        )
+    return {name: replace(pair, **knobs) for name, knobs in layouts.items()}
 
-    The reference is the seed path — one ``hermitian_and_bias`` call plus
-    one full-batch ``cg_solve_batched`` — and every plan variant (serial,
-    sharded, arena off, CG compaction forced, forked workers when the
-    case drew any) must return the identical float32 factors *and* the
-    identical iteration/matvec counters.  Rows are never split across
-    shards and CG lanes never interact, so any drift is a real bug in
-    the executor, arena, or compaction bookkeeping — never rounding.
+
+def check_runtime_determinism(case: RuntimeCase) -> list[Diagnostic]:
+    """VF107: within one kernel pair, every layout reproduces the same bits.
+
+    Numerics are fixed by the plan's kernel pair (``method``,
+    ``cg_backend``); the layout — shards, forked workers, chunk size,
+    arena on or off, CG compaction forced — never changes them.  Two
+    contracts, factors *and* iteration/matvec counters both:
+
+    (a) :data:`~repro.runtime.plan.ORACLE_PLAN` and each of its layouts
+        equal the raw seed pipeline — one ``hermitian_and_bias`` call
+        plus one full-batch ``cg_solve_batched`` at their defaults;
+    (b) each layout of the default pair ``RuntimePlan()`` equals the
+        default serial half-step.
+
+    Rows are never split across shards and CG lanes never interact, so
+    any drift is a real bug in the executor, arena, or compaction
+    bookkeeping — never rounding.
     """
     ratings, theta, warm = build_runtime_inputs(case)
     cg_cfg = CGConfig(max_iters=case.fs, tol=1e-4)
     precision = Precision(case.precision)
-    A, b = hermitian_and_bias(ratings, theta, case.lam)
-    ref = cg_solve_batched(A, b, x0=warm, config=cg_cfg, precision=precision)
 
-    plans = {
-        "serial": RuntimePlan(),
-        "sharded": RuntimePlan(
-            chunk_elems=case.chunk_elems, shards=case.shards
-        ),
-        "no-arena": RuntimePlan(
-            chunk_elems=case.chunk_elems, shards=case.shards, arena=False
-        ),
-        "compact": RuntimePlan(shards=case.shards, compact_cg=True),
-    }
-    if case.workers:
-        plans["workers"] = RuntimePlan(
-            chunk_elems=case.chunk_elems,
-            shards=case.shards,
-            workers=case.workers,
-        )
-
-    findings: list[Diagnostic] = []
-    for name, plan in plans.items():
-        executor = ShardExecutor(plan)
-        try:
+    def half_step(plan: RuntimePlan) -> tuple[np.ndarray, int, int]:
+        with ShardExecutor(plan) as executor:
             result = executor.half_step(
-                ratings,
-                theta,
-                warm,
-                lam=case.lam,
-                cg_config=cg_cfg,
+                ratings, theta, warm, lam=case.lam, cg_config=cg_cfg,
                 precision=precision,
             )
-        finally:
-            executor.close()
-        subject = f"runtime.determinism[{name}]"
-        if not np.array_equal(result.factors, ref.x):
-            delta = np.abs(
-                result.factors.astype(np.float64) - ref.x.astype(np.float64)
-            )
-            findings.append(
-                _violation(
-                    VF107,
-                    subject,
-                    f"plan {name!r} drifted from the raw pipeline: "
-                    f"max |Δ| = {float(delta.max()):.3e} over "
-                    f"{int(np.count_nonzero(delta))} entries",
-                    max_abs_diff=float(delta.max()),
-                    shards=float(plan.shards),
-                    workers=float(plan.workers),
+            return result.factors.copy(), result.cg_iterations, result.cg_matvec_count
+
+    A, b = hermitian_and_bias(ratings, theta, case.lam)
+    seed = cg_solve_batched(A, b, x0=warm, config=cg_cfg, precision=precision)
+    default_layouts = _runtime_layouts(case, RuntimePlan())
+    checks = [
+        ("oracle", "the raw pipeline", _runtime_layouts(case, ORACLE_PLAN),
+         (seed.x, seed.iterations, seed.matvec_count)),
+        ("default", "the default serial run", default_layouts,
+         half_step(default_layouts.pop("serial"))),
+    ]
+
+    findings: list[Diagnostic] = []
+    for pair, ref_name, plans, (ref_x, ref_iters, ref_matvecs) in checks:
+        for name, plan in plans.items():
+            factors, iterations, matvecs = half_step(plan)
+            subject = f"runtime.determinism[{pair}/{name}]"
+            if not np.array_equal(factors, ref_x):
+                delta = np.abs(factors.astype(np.float64) - ref_x.astype(np.float64))
+                findings.append(
+                    _violation(
+                        VF107,
+                        subject,
+                        f"{pair} plan {name!r} drifted from {ref_name}: "
+                        f"max |Δ| = {float(delta.max()):.3e} over "
+                        f"{int(np.count_nonzero(delta))} entries",
+                        max_abs_diff=float(delta.max()),
+                        shards=float(plan.shards),
+                        workers=float(plan.workers),
+                    )
                 )
-            )
-        if (
-            result.cg_iterations != ref.iterations
-            or result.cg_matvec_count != ref.matvec_count
-        ):
-            findings.append(
-                _violation(
-                    VF107,
-                    subject,
-                    f"plan {name!r} changed the CG counters: "
-                    f"iterations {result.cg_iterations} vs {ref.iterations}, "
-                    f"matvecs {result.cg_matvec_count} vs {ref.matvec_count}",
-                    iterations=float(result.cg_iterations),
-                    ref_iterations=float(ref.iterations),
-                    matvecs=float(result.cg_matvec_count),
-                    ref_matvecs=float(ref.matvec_count),
+            if iterations != ref_iters or matvecs != ref_matvecs:
+                findings.append(
+                    _violation(
+                        VF107,
+                        subject,
+                        f"{pair} plan {name!r} changed the CG counters vs "
+                        f"{ref_name}: iterations {iterations} vs {ref_iters}, "
+                        f"matvecs {matvecs} vs {ref_matvecs}",
+                        iterations=float(iterations),
+                        ref_iterations=float(ref_iters),
+                        matvecs=float(matvecs),
+                        ref_matvecs=float(ref_matvecs),
+                    )
                 )
-            )
     return findings
 
 

@@ -168,8 +168,8 @@ CHECKS: dict[str, CheckDef] = {
             "runtime.determinism",
             draw_runtime_case,
             check_runtime_determinism,
-            weight=0.25,  # each case runs 4-5 executor plans; keep them rare
-            summary="factors bit-identical under sharding/chunking (VF107)",
+            weight=0.25,  # each case runs 8-10 executor plans; keep them rare
+            summary="factors bit-identical per kernel pair under sharding/chunking (VF107)",
         ),
         CheckDef(
             "resilience.recovery",

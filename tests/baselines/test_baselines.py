@@ -18,6 +18,7 @@ from repro.baselines import (
 from repro.core import ALSConfig, ALSModel, hermitian_rows, lu_solve_batched
 from repro.data import WorkloadShape, get_dataset, load_surrogate
 from repro.gpusim import KEPLER_K40, MAXWELL_TITANX
+from repro.runtime import ORACLE_PLAN, ShardExecutor
 
 NETFLIX = get_dataset("netflix").paper
 YAHOO = get_dataset("yahoomusic").paper
@@ -144,21 +145,38 @@ class TestBIDMach:
         )
         assert bid.best_rmse > ours.best_rmse
 
-    def test_factors_match_seed_composition(self, small):
-        """The executor half-step is the hand-rolled hermitian + LU loop."""
-        split, _ = small
+    @staticmethod
+    def _assert_matches_composition(split, plan=None):
         f, lam, epochs = 8, 0.05, 2
         model = BIDMachALS(f=f, lam=lam, seed=3)
+        if plan is not None:
+            model.runtime.close()
+            model.runtime = ShardExecutor(plan)
+        method = model.runtime.plan.method
         model.fit(split.train, epochs=epochs)
         train, train_t = split.train, split.train.transpose()
         rng = np.random.default_rng(3)
         x = rng.normal(0, 0.1, (train.m, f)).astype(np.float32)
         theta = rng.normal(0, 0.1, (train.n, f)).astype(np.float32)
         for _ in range(epochs):
-            x = lu_solve_batched(*hermitian_rows(train, theta, lam, count_weighted_reg=False))
-            theta = lu_solve_batched(*hermitian_rows(train_t, x, lam, count_weighted_reg=False))
+            x = lu_solve_batched(
+                *hermitian_rows(train, theta, lam, count_weighted_reg=False, method=method)
+            )
+            theta = lu_solve_batched(
+                *hermitian_rows(train_t, x, lam, count_weighted_reg=False, method=method)
+            )
         assert np.array_equal(model.x_, x)
         assert np.array_equal(model.theta_, theta)
+
+    def test_factors_match_seed_composition(self, small):
+        """The executor half-step is the hand-rolled hermitian + LU loop,
+        built with the model's own (default) plan method: contract (b)."""
+        self._assert_matches_composition(small[0])
+
+    def test_oracle_factors_match_seed_kernels(self, small):
+        """Under ORACLE_PLAN the model is the seed hermitian + LU loop:
+        contract (a)."""
+        self._assert_matches_composition(small[0], ORACLE_PLAN)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.baselines.distributed_als import (
 )
 from repro.core import ALSConfig, ALSModel, cholesky_solve_batched, hermitian_rows
 from repro.data import get_dataset, load_surrogate
+from repro.runtime import ORACLE_PLAN, ShardExecutor
 
 NETFLIX = get_dataset("netflix").paper
 YAHOO = get_dataset("yahoomusic").paper
@@ -79,21 +80,34 @@ class TestDistributedALS:
         ).fit(split.train, split.test, epochs=3)
         assert c_dist.final_rmse == pytest.approx(local.final_rmse, abs=0.01)
 
-    def test_factors_match_seed_composition(self, small):
-        """The executor half-step is the hand-rolled hermitian + Cholesky loop."""
-        split, spec = small
+    @staticmethod
+    def _assert_matches_composition(split, spec, plan=None):
         cfg = ALSConfig(f=8, lam=spec.lam, seed=5)
         model = DistributedALS(cfg, num_nodes=4)
+        if plan is not None:
+            model.runtime.close()
+            model.runtime = ShardExecutor(plan)
+        method = model.runtime.plan.method
         model.fit(split.train, epochs=2)
         train, train_t = split.train, split.train.transpose()
         rng = np.random.default_rng(cfg.seed)
         x = rng.normal(0, cfg.init_scale, (train.m, cfg.f)).astype(np.float32)
         theta = rng.normal(0, cfg.init_scale, (train.n, cfg.f)).astype(np.float32)
         for _ in range(2):
-            x = cholesky_solve_batched(*hermitian_rows(train, theta, cfg.lam))
-            theta = cholesky_solve_batched(*hermitian_rows(train_t, x, cfg.lam))
+            x = cholesky_solve_batched(*hermitian_rows(train, theta, cfg.lam, method=method))
+            theta = cholesky_solve_batched(*hermitian_rows(train_t, x, cfg.lam, method=method))
         assert np.array_equal(model.x_, x)
         assert np.array_equal(model.theta_, theta)
+
+    def test_factors_match_seed_composition(self, small):
+        """The executor half-step is the hand-rolled hermitian + Cholesky
+        loop, built with the model's own (default) plan method: contract (b)."""
+        self._assert_matches_composition(*small)
+
+    def test_oracle_factors_match_seed_kernels(self, small):
+        """Under ORACLE_PLAN the model is the seed hermitian + Cholesky
+        loop: contract (a)."""
+        self._assert_matches_composition(*small, ORACLE_PLAN)
 
     def test_strategies_identical_numerics(self, small):
         split, spec = small

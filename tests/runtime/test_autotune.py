@@ -34,13 +34,21 @@ class TestAutotunePlan:
 
     def test_sweeps_every_method_candidate_pair(self, ratings):
         report = autotune_plan(
-            ratings, 8, warmup_nnz=300, repeats=1, workers=0
+            ratings, 8, warmup_nnz=300, repeats=1, workers=0,
+            methods=HERMITIAN_METHODS,
         )
         floor = 8 * 8 * 8
         expected = len(HERMITIAN_METHODS) * sum(
             1 for c in CHUNK_CANDIDATES if c >= floor
         )
         assert len(report.timings) == expected
+
+    def test_default_sweep_skips_the_reduceat_oracle(self, ratings):
+        report = autotune_plan(
+            ratings, 8, warmup_nnz=300, repeats=1, workers=0
+        )
+        assert {m for m, _, _ in report.timings} == {"grouped"}
+        assert report.plan.method == "grouped"
 
     def test_workers_zero_means_serial_plan(self, ratings):
         plan = autotune_plan(ratings, 4, warmup_nnz=100, workers=0).plan

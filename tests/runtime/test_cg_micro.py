@@ -167,6 +167,13 @@ class TestPlanRoundTrip:
         del legacy["cg_backend"]
         assert RuntimePlan.from_dict(legacy).cg_backend == "reference"
 
+    def test_pre_method_reports_load_as_the_oracle_kernel(self):
+        # A report without a method key ran the seed hermitian kernel;
+        # it must not load as the newer default.
+        legacy = RuntimePlan().as_dict()
+        del legacy["method"]
+        assert RuntimePlan.from_dict(legacy).method == "reduceat"
+
     def test_unknown_keys_rejected(self):
         payload = RuntimePlan().as_dict() | {"cg_backnd": "fused"}
         with pytest.raises(ValueError, match="cg_backnd"):

