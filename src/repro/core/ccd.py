@@ -26,6 +26,7 @@ from ..gpusim.engine import SimEngine
 from ..metrics.convergence import TrainingCurve
 from ..metrics.rmse import rmse
 from ..runtime.arena import Workspace
+from .scratch import check_indices
 
 __all__ = ["CCDConfig", "CCDModel", "ccd_epoch_seconds"]
 
@@ -109,6 +110,7 @@ class CCDModel:
 
         rows = np.repeat(np.arange(m), train.row_counts())
         cols = train.col_idx.astype(np.int64)
+        check_indices(cols, n, "column")  # the gathers below run unchecked
         vals = train.row_val.astype(np.float32)
         # Residual e = r − xᵀθ over the nonzeros, maintained incrementally.
         resid = vals - np.einsum(
@@ -139,8 +141,8 @@ class CCDModel:
                 np.copyto(tt, self.theta_[:, t])
                 for _ in range(cfg.inner_sweeps):
                     # Rank-one residual: add the feature's contribution back.
-                    np.take(xt, rows, out=xrow)
-                    np.take(tt, cols, out=tcol)
+                    np.take(xt, rows, out=xrow, mode="clip")
+                    np.take(tt, cols, out=tcol, mode="clip")
                     np.multiply(xrow, tcol, out=e_hat)
                     np.add(resid, e_hat, out=e_hat)
                     # Update x_t: per-row weighted least squares.
@@ -152,7 +154,7 @@ class CCDModel:
                     np.add.at(den_x, rows, tmp)
                     np.divide(num_x, den_x, out=xt)
                     # Update θ_t with the fresh x_t.
-                    np.take(xt, rows, out=xrow)
+                    np.take(xt, rows, out=xrow, mode="clip")
                     num_t.fill(0)
                     den_t.fill(lam)
                     np.multiply(e_hat, xrow, out=tmp)
@@ -160,7 +162,7 @@ class CCDModel:
                     np.multiply(xrow, xrow, out=tmp)
                     np.add.at(den_t, cols, tmp)
                     np.divide(num_t, den_t, out=tt)
-                    np.take(tt, cols, out=tcol)
+                    np.take(tt, cols, out=tcol, mode="clip")
                     np.multiply(xrow, tcol, out=tmp)
                     np.subtract(e_hat, tmp, out=resid)
                 self.x_[:, t] = xt

@@ -214,9 +214,9 @@ def cg_solve_batched(
         if use_gather:
             lanes = np.flatnonzero(active)
             Ag = ws.request("cg.cAg", (nact, f, f))
-            np.take(A_store, lanes, axis=0, out=Ag)
+            np.take(A_store, lanes, axis=0, out=Ag, mode="clip")
             pg = ws.request("cg.cpg", (nact, f))
-            np.take(p, lanes, axis=0, out=pg)
+            np.take(p, lanes, axis=0, out=pg, mode="clip")
             apg = ws.request("cg.capg", (nact, f))
             kern.matvec(Ag, pg, apg)
             ap.fill(0.0)

@@ -110,7 +110,7 @@ class ReferenceBackend:
         store.fill(0.0)
         if rows.size:
             gathered = ws.request("cg.A_gather", (rows.size, f, f))
-            np.take(A, rows, axis=0, out=gathered)
+            np.take(A, rows, axis=0, out=gathered, mode="clip")
             np.clip(gathered, -FP16_MAX, FP16_MAX, out=gathered)
             halves = ws.request("cg.A16", (rows.size, f, f), np.float16)
             np.copyto(halves, gathered, casting="same_kind")
@@ -170,7 +170,7 @@ class FusedBackend:
         store.fill(0.0)
         if rows.size:
             gathered = ws.request("cg.A_gather", (rows.size, f, f))
-            np.take(A, rows, axis=0, out=gathered)
+            np.take(A, rows, axis=0, out=gathered, mode="clip")
             np.clip(gathered, -FP16_MAX, FP16_MAX, out=gathered)
             _round_f16_grid_inplace(gathered)
             store[rows] = gathered

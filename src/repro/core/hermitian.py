@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 
 from ..data.sparse import RatingMatrix
-from .scratch import FRESH
+from .scratch import FRESH, check_indices
 
 __all__ = [
     "hermitian_and_bias",
@@ -130,7 +130,7 @@ def _accumulate_reduceat(
         k = hi - lo
         idx = ratings.col_idx[lo:hi]
         G = ws.request("hermitian.gather", (k, f))
-        np.take(theta, idx, axis=0, out=G)
+        np.take(theta, idx, axis=0, out=G, mode="clip")
         vals = (
             ratings.row_val[lo:hi]
             if bias_values is None
@@ -183,6 +183,14 @@ def _accumulate_grouped(
     batched matmul — trading the O(nnz·f²) materialized outer products
     for O(nnz·f) staging plus dense FLOPs, exactly the irregular→regular
     transform the paper's register tiling performs on the GPU.
+
+    Per chunk, θ is gathered once, straight into bucket order (rows
+    sorted by count, each row's entries in CSR order), so every bucket
+    is a contiguous slice of it.  Each bucket's products land in scratch
+    sized to the largest bucket and are scattered to their rows; every
+    row with observations is written, so ``A``/``b`` need no zeroing
+    except at empty rows (the caller's job).  The bucket order depends
+    only on the CSR structure.
     """
     f = theta.shape[1]
     for s, e in _row_chunks(ptr, f, chunk_elems):
@@ -190,52 +198,64 @@ def _accumulate_grouped(
         if hi == lo:
             continue
         k = hi - lo
-        idx = ratings.col_idx[lo:hi]
-        G = ws.request("hermitian.gather", (k, f))
-        np.take(theta, idx, axis=0, out=G)
-        vals = np.asarray(
-            ratings.row_val[lo:hi] if bias_values is None else bias_values[lo:hi],
-            dtype=np.float32,
-        )
-        w = (
-            None
-            if entry_weights is None
-            else np.asarray(entry_weights[lo:hi], dtype=np.float32)
-        )
-        seg = (ptr[s:e] - lo).astype(np.int64)
         c = counts[s:e]
         order = np.argsort(c, kind="stable")
-        uniq, first = np.unique(c[order], return_index=True)
+        sorted_c = c[order]
+        uniq, first = np.unique(sorted_c, return_index=True)
         bounds = np.append(first, order.size)
+        # Entry permutation into bucket order: steps of one, a jump at each
+        # row's first entry, then a running sum.
+        live = sorted_c > 0
+        starts = (ptr[s:e] - lo)[order][live]
+        lens = sorted_c[live]
+        jumps = starts.astype(np.int64)
+        jumps[1:] -= starts[:-1] + lens[:-1] - 1
+        steps = ws.request("hermitian.grp.steps", (k,), np.int64)
+        steps.fill(1)
+        steps[np.cumsum(lens) - lens] = jumps
+        perm = ws.request("hermitian.grp.perm", (k,), np.int64)
+        np.cumsum(steps, out=perm)
+        cols = ws.request("hermitian.grp.cols", (k,), ratings.col_idx.dtype)
+        np.take(ratings.col_idx[lo:hi], perm, out=cols, mode="clip")
+        G = ws.request("hermitian.gather", (k, f))
+        np.take(theta, cols, axis=0, out=G, mode="clip")
+        V = ws.request("hermitian.grp.v", (k,))
+        vals = ratings.row_val if bias_values is None else bias_values
+        np.take(np.asarray(vals[lo:hi], dtype=np.float32), perm, out=V, mode="clip")
+        W = None
+        if entry_weights is not None:
+            W = ws.request("hermitian.grp.w", (k,))
+            np.take(
+                np.asarray(entry_weights[lo:hi], dtype=np.float32), perm,
+                out=W, mode="clip",
+            )
+        rows_per = np.diff(bounds)
+        kb_max = int(rows_per[uniq > 0].max())
+        Ab_all = ws.request("hermitian.grp.A", (kb_max, f, f))
+        Bb_all = ws.request("hermitian.grp.b", (kb_max, 1, f))
+        if W is not None:
+            Gw_all = ws.request(
+                "hermitian.grp.gw", (int((rows_per * uniq).max()), f)
+            )
+        at = 0
         for ui, cnt64 in enumerate(uniq):
             cnt = int(cnt64)
             if cnt == 0:
                 continue  # empty rows keep A_u = 0; λI is added later
-            rows_b = order[bounds[ui] : bounds[ui + 1]]
-            kb = rows_b.size
-            pos = ws.request("hermitian.grp.pos", (kb, cnt), np.int64)
-            np.add(
-                seg[rows_b][:, None],
-                np.arange(cnt, dtype=np.int64)[None, :],
-                out=pos,
-            )
-            flat = pos.reshape(kb * cnt)
-            Gb = ws.request("hermitian.grp.G", (kb, cnt, f))
-            np.take(G, flat, axis=0, out=Gb.reshape(kb * cnt, f))
-            Vb = ws.request("hermitian.grp.v", (kb, 1, cnt))
-            np.take(vals, flat, out=Vb.reshape(kb * cnt))
-            if w is None:
+            kb = int(rows_per[ui])
+            span = slice(at, at + kb * cnt)
+            at = span.stop
+            Gb = G[span].reshape(kb, cnt, f)
+            if W is None:
                 Gw = Gb
             else:
-                Wb = ws.request("hermitian.grp.w", (kb, cnt, 1))
-                np.take(w, flat, out=Wb.reshape(kb * cnt))
-                Gw = ws.request("hermitian.grp.gw", (kb, cnt, f))
-                np.multiply(Gb, Wb, out=Gw)
-            Ab = ws.request("hermitian.grp.A", (kb, f, f))
+                Gw = Gw_all[: kb * cnt].reshape(kb, cnt, f)
+                np.multiply(Gb, W[span].reshape(kb, cnt, 1), out=Gw)
+            Ab = Ab_all[:kb]
             np.matmul(Gb.transpose(0, 2, 1), Gw, out=Ab)
-            Bb = ws.request("hermitian.grp.b", (kb, 1, f))
-            np.matmul(Vb, Gb, out=Bb)
-            tgt = s + rows_b
+            Bb = Bb_all[:kb]
+            np.matmul(V[span].reshape(kb, 1, cnt), Gb, out=Bb)
+            tgt = s + order[bounds[ui] : bounds[ui + 1]]
             # Each row lives in exactly one chunk and one bucket, so a
             # straight scatter-assign is a complete write.
             A[tgt] = Ab
@@ -285,8 +305,8 @@ def hermitian_rows(
         passing :class:`repro.runtime.arena.Workspace` makes the kernel
         allocation-free in steady state.  ``None`` allocates per chunk.
     out:
-        Optional preallocated ``(A, b)`` float32 pair to fill in place
-        (zeroed first); returned for convenience.
+        Optional preallocated ``(A, b)`` float32 pair to fill in place;
+        returned for convenience.
 
     Returns
     -------
@@ -320,14 +340,22 @@ def hermitian_rows(
             )
         if A.dtype != np.float32 or b.dtype != np.float32:
             raise ValueError("out buffers must be float32")
-        A.fill(0.0)
-        b.fill(0.0)
     else:
         A = np.zeros((num, f, f), dtype=np.float32)
         b = np.zeros((num, f), dtype=np.float32)
     ws = workspace if workspace is not None else FRESH
     ptr = ratings.row_ptr[row_lo : row_hi + 1]
     counts = np.diff(ptr)
+    check_indices(ratings.col_idx[ptr[0] : ptr[-1]], n, "column")
+    if out is not None:
+        if method == "grouped":
+            # grouped writes every row with observations; zero the rest
+            empty = np.flatnonzero(counts == 0)
+            A[empty] = 0.0
+            b[empty] = 0.0
+        else:
+            A.fill(0.0)
+            b.fill(0.0)
 
     accumulate = _accumulate_grouped if method == "grouped" else _accumulate_reduceat
     accumulate(

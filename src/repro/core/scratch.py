@@ -9,13 +9,20 @@ per request — exactly the allocation behaviour the seed implementation
 had, so results and memory profiles of existing callers are unchanged.
 
 The real reusing arena is :class:`repro.runtime.arena.Workspace`.
+
+Gathers into scratch use ``np.take(..., out=..., mode="clip")``: NumPy's
+default ``mode="raise"`` fills a full-size temporary and then copies it
+into ``out``, which would add one transient the size of the result to
+every call.  Clip mode writes ``out`` directly but silently clamps bad
+indices, so indices that come from caller data pass
+:func:`check_indices` once first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FreshScratch", "FRESH"]
+__all__ = ["FreshScratch", "FRESH", "check_indices"]
 
 
 class FreshScratch:
@@ -34,3 +41,9 @@ class FreshScratch:
 
 #: Shared stateless instance (FreshScratch holds nothing).
 FRESH = FreshScratch()
+
+
+def check_indices(idx: np.ndarray, size: int, what: str) -> None:
+    """Raise ``IndexError`` unless every index lies in ``[0, size)``."""
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= size):
+        raise IndexError(f"{what} index outside [0, {size})")

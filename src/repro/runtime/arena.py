@@ -113,6 +113,21 @@ class Workspace:
         self.bytes_allocated = 0
         self.allocations_by_key.clear()
 
+    def absorb(self, other: "Workspace") -> None:
+        """Add ``other``'s counters to this arena's and zero them there.
+
+        An executor gives each in-process lane its own arena and reports
+        every lane's growth through one of them.
+        """
+        self.allocations += other.allocations
+        self.reuses += other.reuses
+        self.bytes_allocated += other.bytes_allocated
+        for name, count in other.allocations_by_key.items():
+            self.allocations_by_key[name] = (
+                self.allocations_by_key.get(name, 0) + count
+            )
+        other.reset_counters()
+
     def release(self) -> None:
         """Drop every cached buffer (and reset the counters)."""
         self._buffers.clear()

@@ -5,10 +5,18 @@ embarrassingly parallel across rows.  cuMF_ALS exploits that by handing
 contiguous nnz-balanced row ranges to thread blocks; this module does the
 same on the host: :func:`partition_rows` splits the row space into
 ``plan.shards`` contiguous ranges of roughly equal nnz, and
-:class:`ShardExecutor` runs them either serially in-process (the
-deterministic default) or on forked worker processes that write their
+:class:`ShardExecutor` runs them either in-process on threads (the
+default, ``workers=0``) or on forked worker processes that write their
 row ranges in place into a :mod:`multiprocessing.shared_memory` output,
 with zero serialization of the results.
+
+In-process, the shards run on up to ``min(shards, usable_cores())``
+*lanes*: lane ``j`` runs shards ``j, j + lanes, …`` in order on its own
+thread with its own workspace arena.  The kernels spend their time in
+NumPy and BLAS loops that release the GIL, so the lanes overlap on real
+cores.  Small operations hold the GIL, though, so each lane needs
+:data:`LANE_MIN_NNZ` ratings of work to earn its thread.  One lane is
+the plain serial loop on the calling thread.
 
 Determinism is by construction, not by luck:
 
@@ -20,16 +28,18 @@ Determinism is by construction, not by luck:
   same bits;
 * shards write disjoint row ranges of the output, and the epoch-level
   accounting folds with order-independent reductions (``max`` of
-  iterations, ``sum`` of matvecs).
+  iterations, ``sum`` of matvecs);
+* each shard's health events are buffered and appended in shard order,
+  so the health log of a threaded run is the one-lane log.
 
 Hence, for one kernel pair (``plan.method``, ``plan.cg_backend``), the
-factors are **bit-identical** for any ``shards``/``workers``/
+factors are **bit-identical** for any ``shards``/lanes/``workers``/
 ``chunk_elems``/arena/compaction choice — the property the VF107
 verification rule and the runtime test suite pin down.
 
 Workers are forked through :mod:`repro.runtime.supervisor`, which this
 module shares with the serving fleet.  ``half_step`` has two paths: the
-serial path runs the shards in-process, and the pool path forks one
+lane path runs the shards in-process, and the pool path forks one
 process + result pipe per shard attempt, at most ``plan.workers`` at a
 time.  A SIGKILLed worker surfaces instantly as pipe EOF, a deadline
 kill cannot corrupt other shards' transport, and a retry is just a
@@ -38,7 +48,7 @@ fresh process — there is no shared pool state to poison.
 **Supervision** (see :mod:`repro.resilience`) is policy on top of those
 two paths: a :class:`~repro.runtime.plan.SupervisionPolicy` adds
 per-shard deadlines, bounded exponential-backoff retry and automatic
-pool→serial degradation after repeated faults;
+pool→in-process degradation after repeated faults;
 :class:`~repro.resilience.faults.FaultPlan` and
 :class:`~repro.resilience.guards.GuardPolicy` hook every shard; all of
 it is reported on the executor's
@@ -51,7 +61,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +71,20 @@ from ..core.config import CGConfig, Precision, SolverKind
 from ..core.direct import cholesky_solve_batched, lu_solve_batched
 from ..core.hermitian import hermitian_rows
 from ..resilience.faults import InjectedWorkerKill, inject_shard_start, solver_fault_hook
-from ..resilience.health import RunHealth
+from ..resilience.health import HealthEvent, RunHealth
 from . import sanitizer, supervisor
 from .arena import Workspace
-from .plan import RuntimePlan, SupervisionPolicy
+from .plan import RuntimePlan, SupervisionPolicy, usable_cores
 
-__all__ = ["CsrView", "HalfStepResult", "ShardExecutor", "partition_rows"]
+__all__ = ["CsrView", "HalfStepResult", "LANE_MIN_NNZ", "ShardExecutor", "partition_rows"]
+
+#: Ratings per half-step that each in-process lane must have to earn its
+#: thread.  NumPy holds the GIL through small operations, so lanes over
+#: little work mostly take turns and pay the hand-off: on a 2-vCPU host
+#: two lanes lost to one up to ~24K ratings per half-step and won from
+#: ~64K (the netflix surrogate's 216K: 0.44 → 0.34 s per fit), while
+#: streaming fold-ins stay under ~6K.
+LANE_MIN_NNZ = 25_000
 
 
 def partition_rows(row_ptr: np.ndarray, num_parts: int) -> list[tuple[int, int]]:
@@ -177,11 +196,15 @@ def _compute_shard(
     shard: int = 0,
     attempt: int = 0,
     forked: bool = False,
+    solo: bool = True,
 ) -> tuple[int, int, list]:
     """Form and solve rows [lo, hi), writing ``out[lo:hi]`` in place.
 
-    Returns ``(cg_iterations, matvec_count, health_events)`` — the event
-    list is empty unless faults or guards were active on this shard.
+    ``solo`` says no other shard writes ``out`` concurrently (one lane,
+    not forked), which is when the sanitizer's outside-slice witness is
+    sound.  Returns ``(cg_iterations, matvec_count, health_events)`` —
+    the event list is empty unless faults or guards were active on this
+    shard.
     """
     num = hi - lo
     events: list = []
@@ -237,9 +260,9 @@ def _compute_shard(
         # factors living in the very buffer being overwritten; the solver
         # consumes x0 before writing out) — A and b must not.
         sanitizer.check_no_overlap("out[lo:hi]", rows_out, [("A", A), ("b", b)])
-        if not forked:
-            # outside-slice snapshot is only sound single-process: under a
-            # fork pool the other shards legitimately write those rows
+        if solo and not forked:
+            # the outside-slice snapshot is only sound with one writer:
+            # other lanes or pool workers legitimately write those rows
             witness = sanitizer.SliceWitness(out, lo, hi)
     if job.solver is SolverKind.CG:
         hook = None
@@ -323,13 +346,15 @@ class ShardExecutor:
     """Executes ALS half-steps according to a :class:`RuntimePlan`.
 
     The executor owns the long-lived resources the plan needs: one
-    workspace arena (so scratch survives across chunks, shards and
-    epochs) and one persistent output buffer per factor ``key`` (so the
-    solved factors land in place instead of a fresh allocation per
-    half-step).  The returned ``factors`` array is that persistent
-    buffer: it stays valid until the next half-step with the same key,
-    which is exactly the lifetime ALS needs (the result becomes the next
-    epoch's warm start / fixed side).
+    workspace arena per in-process lane (so scratch survives across
+    chunks, shards and epochs; :attr:`workspace` is lane 0's and counts
+    every lane's allocations), the lane threads, and one persistent
+    output buffer per factor ``key`` (so the solved factors land in
+    place instead of a fresh allocation per half-step).  The returned
+    ``factors`` array is that persistent buffer: it stays valid until
+    the next half-step with the same key, which is exactly the lifetime
+    ALS needs (the result becomes the next epoch's warm start / fixed
+    side).
 
     Parameters
     ----------
@@ -369,6 +394,8 @@ class ShardExecutor:
             RunHealth() if supervised else None
         )
         self.workspace = Workspace() if plan.arena else None
+        self._lane_arenas: list[Workspace] = []  # lanes 1.. (lane 0: workspace)
+        self._threads: ThreadPoolExecutor | None = None
         #: Shard geometry of each half-step run with a fault plan, in step
         #: order — the input :func:`repro.resilience.faults.expected_fault_events`
         #: needs to enumerate a fault plan's injections for accounting.
@@ -398,11 +425,16 @@ class ShardExecutor:
         """
         self._shm.close()
         self._outputs.clear()
-        if self.workspace is not None:
-            try:
-                self.workspace.release()
-            except Exception:
-                pass
+        if self._threads is not None:
+            self._threads.shutdown(wait=True)
+            self._threads = None
+        for ws in [self.workspace, *self._lane_arenas]:
+            if ws is not None:
+                try:
+                    ws.release()
+                except Exception:
+                    pass
+        self._lane_arenas.clear()
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -477,7 +509,7 @@ class ShardExecutor:
             if not self._warned_no_fork:
                 self._warned_no_fork = True
                 warnings.warn(
-                    "fork start method unavailable; running shards serially",
+                    "fork start method unavailable; running shards in-process",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -485,10 +517,7 @@ class ShardExecutor:
 
         if workers == 0:
             out = self._output(key, shape)
-            counters = [
-                self._run_shard(job, out, lo, hi, shard, 0)
-                for shard, (lo, hi) in enumerate(spans)
-            ]
+            counters = self._run_lanes(job, out, spans)
         else:
             out, counters = self._run_pool(job, key, shape, spans, workers)
 
@@ -499,6 +528,88 @@ class ShardExecutor:
             shards=len(spans),
         )
 
+    def _run_lanes(
+        self,
+        job: _HalfStep,
+        out: np.ndarray,
+        spans: list[tuple[int, int]],
+    ) -> list[tuple[int, int]]:
+        """Run the shards in-process on ``min(shards, usable_cores(),
+        nnz // LANE_MIN_NNZ)`` lanes, at least one.
+
+        Lane ``j`` runs shards ``j, j + lanes, …`` in order with its own
+        arena; lane 0 is the calling thread, the others come from a pool
+        created on first use and joined by :meth:`close`.  Every lane
+        finishes before anything is reported: the shards' buffered
+        health events are appended in shard order, and the first failed
+        shard's error is raised after its own events, exactly as the
+        one-lane loop would.
+        """
+        nnz = int(job.ratings.row_ptr[-1])
+        lanes = max(1, min(len(spans), usable_cores(), nnz // LANE_MIN_NNZ))
+        jobs = [replace(job, workspace=arena) for arena in self._arenas(lanes)]
+        outcomes: list = [None] * len(spans)
+        if lanes == 1:
+            self._run_lane(jobs[0], out, spans, 0, 1, outcomes)
+        else:
+            if self._threads is None:  # starts threads as lanes need them
+                self._threads = ThreadPoolExecutor(
+                    self.plan.shards - 1, thread_name_prefix="repro-lane"
+                )
+            futures = [
+                self._threads.submit(
+                    self._run_lane, jobs[lane], out, spans, lane, lanes, outcomes
+                )
+                for lane in range(1, lanes)
+            ]
+            self._run_lane(jobs[0], out, spans, 0, lanes, outcomes)
+            for future in futures:
+                future.result()
+            if self.workspace is not None:
+                for arena in self._lane_arenas[: lanes - 1]:
+                    self.workspace.absorb(arena)
+        results = []
+        for counters, events, exc in outcomes:
+            if events:
+                self.health.extend(events)
+            if exc is not None:
+                raise exc
+            results.append(counters)
+        return results
+
+    def _run_lane(
+        self,
+        job: _HalfStep,
+        out: np.ndarray,
+        spans: list[tuple[int, int]],
+        lane: int,
+        lanes: int,
+        outcomes: list,
+    ) -> None:
+        """Run shards ``lane, lane + lanes, …``; file each outcome by shard.
+
+        An outcome is ``(counters, events, error)``; the lane stops at
+        its first failed shard, as the one-lane loop would.
+        """
+        for shard in range(lane, len(spans), lanes):
+            events: list = []
+            try:
+                counters = self._run_shard(
+                    job, out, *spans[shard], shard, 0, events, solo=lanes == 1
+                )
+            except BaseException as exc:  # noqa: B036 - re-raised in shard order
+                outcomes[shard] = (None, events, exc)
+                return
+            outcomes[shard] = (counters, events, None)
+
+    def _arenas(self, lanes: int) -> list[Workspace | None]:
+        """One arena per lane: lane 0 uses :attr:`workspace`."""
+        if self.workspace is None:
+            return [None] * lanes
+        while len(self._lane_arenas) < lanes - 1:
+            self._lane_arenas.append(Workspace())
+        return [self.workspace, *self._lane_arenas[: lanes - 1]]
+
     def _run_shard(
         self,
         job: _HalfStep,
@@ -507,9 +618,13 @@ class ShardExecutor:
         hi: int,
         shard: int,
         attempt: int,
+        events: list,
+        solo: bool = True,
     ) -> tuple[int, int]:
         """One shard, in-process, with the bounded retry/backoff loop.
 
+        Health events (the shard's own, plus each kill and retry) are
+        appended to ``events`` for the caller to merge in shard order.
         Only :class:`InjectedWorkerKill` is retried — a deterministic
         error (a :class:`NumericalFault` the ladder could not repair, a
         caller bug) would fail identically on every attempt, so it
@@ -517,23 +632,24 @@ class ShardExecutor:
         """
         while True:
             try:
-                it, mv, events = _compute_shard(job, out, lo, hi, shard, attempt)
+                it, mv, shard_events = _compute_shard(
+                    job, out, lo, hi, shard, attempt, solo=solo
+                )
             except InjectedWorkerKill as exc:
-                self.health.record(
+                events.append(HealthEvent(
                     "fault.worker-kill", step=job.step, shard=shard,
                     attempt=attempt, detail=str(exc),
-                )
+                ))
                 if attempt >= self._policy.max_retries:
                     raise
                 self._sleep_before_retry(job.step, shard, attempt)
                 attempt += 1
-                self.health.record(
+                events.append(HealthEvent(
                     "supervise.retry", step=job.step, shard=shard,
                     attempt=attempt,
-                )
+                ))
                 continue
-            if events:
-                self.health.extend(events)
+            events.extend(shard_events)
             return it, mv
 
     def _run_pool(
@@ -591,9 +707,14 @@ class ShardExecutor:
                 launch()
             # degraded mid-step: the shards still queued finish in-process
             for shard, attempt in queue:
-                counters[shard] = self._run_shard(
-                    job, out_view, *spans[shard], shard, attempt
-                )
+                events = []
+                try:
+                    counters[shard] = self._run_shard(
+                        job, out_view, *spans[shard], shard, attempt, events
+                    )
+                finally:
+                    if events:
+                        self.health.extend(events)
         finally:
             for worker in running.values():
                 worker.reap()

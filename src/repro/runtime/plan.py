@@ -3,10 +3,14 @@
 A :class:`RuntimePlan` is the host analogue of the paper's launch
 configuration: where the chunked ``get_hermitian`` scratch lives
 (``chunk_elems`` — the tile/shared-memory knob), how the batch of row
-subproblems is partitioned (``shards`` — the thread-block grid), and how
-many OS processes execute the shards (``workers`` — the SMs).  Plans are
-plain data so they can be produced by the autotuner, serialized into
-bench reports and compared across machines.
+subproblems is partitioned (``shards`` — the thread-block grid), and
+whether the shards run in-process on threads (``workers=0``, one lane
+per usable core) or on forked OS processes (``workers >= 1``).  Plans
+are plain data so they can be produced by the autotuner, serialized
+into bench reports and compared across machines.  The default
+``shards`` is the usable core count (:func:`usable_cores`), so a default
+plan trains on every core the process may run on; on a one-core host
+it is the one-shard serial plan.
 
 Numerics are fixed per *kernel pair* (``method``, ``cg_backend``): every
 layout of one pair — shards, workers, chunking, arena, CG compaction —
@@ -22,7 +26,8 @@ executor consumes core kernels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 __all__ = [
     "CG_BACKENDS",
@@ -30,6 +35,7 @@ __all__ = [
     "ORACLE_PLAN",
     "RuntimePlan",
     "SupervisionPolicy",
+    "usable_cores",
 ]
 
 #: The two host kernels for forming the normal equations.  ``reduceat``
@@ -53,6 +59,15 @@ CG_BACKENDS = ("reference", "fused")
 HermitianMethod = str
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's
+    CPU count: a container pinned to 2 of 64 cores gets 2)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RuntimePlan:
     """How one ALS half-step is executed on the host.
@@ -66,11 +81,15 @@ class RuntimePlan:
         Scratch budget per hermitian chunk, in float32 *elements* —
         ``nnz·f²`` for ``reduceat``, ``nnz·f`` for ``grouped``.
     shards:
-        Number of contiguous nnz-balanced row shards per half-step.
+        Number of contiguous nnz-balanced row shards per half-step;
+        defaults to :func:`usable_cores`.
     workers:
-        OS processes executing the shards; ``0`` runs every shard
-        serially in-process (the deterministic fallback), ``>= 1`` uses a
-        process pool over ``multiprocessing.shared_memory``.
+        OS processes executing the shards; ``0`` runs the shards
+        in-process on up to ``min(shards, usable_cores())`` threads
+        (see :data:`repro.runtime.executor.LANE_MIN_NNZ`; one thread is
+        the plain serial loop), ``>= 1`` uses a supervised fork pool
+        over ``multiprocessing.shared_memory``.  Every choice gives the
+        same bits.
     compact_cg:
         Forwarded to the CG solver's frozen-system compaction:
         ``None`` lets the solver decide per iteration, ``True``/``False``
@@ -99,7 +118,7 @@ class RuntimePlan:
 
     method: str = "grouped"
     chunk_elems: int = 64_000_000
-    shards: int = 1
+    shards: int = field(default_factory=usable_cores)
     workers: int = 0
     compact_cg: bool | None = None
     cg_backend: str = "fused"
@@ -121,7 +140,7 @@ class RuntimePlan:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = serial in-process)")
+            raise ValueError("workers must be >= 0 (0 = in-process threads)")
         if self.workers > self.shards:
             raise ValueError("workers beyond shards would idle; lower workers")
         if self.index_budget is not None and self.index_budget < 0:
@@ -233,4 +252,5 @@ class SupervisionPolicy:
 #: The bit-exact oracle: the seed kernels in the default layout.  It and
 #: every layout of its kernel pair are bit-identical to the seed pipeline
 #: (``hermitian_and_bias`` + ``cg_solve_batched`` at their defaults).
+#: Its ``shards`` is the usable core count of the importing process.
 ORACLE_PLAN = RuntimePlan(method="reduceat", cg_backend="reference")

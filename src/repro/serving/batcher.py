@@ -105,7 +105,7 @@ class MicroBatcher:
         if brute_rows:
             nb = len(brute_rows)
             xb = self.workspace.request("serving.users", (nb, f), np.float32)
-            np.take(x, users[brute_rows], axis=0, out=xb)
+            np.take(x, users[brute_rows], axis=0, out=xb, mode="clip")
             scores = self.workspace.request(
                 "serving.scores", (nb, n_items), np.float32
             )
@@ -155,7 +155,7 @@ class MicroBatcher:
         f = x.shape[1]
         ncells = index.ncells
         xg = ws.request("serving.index.users", (g, f), np.float32)
-        np.take(x, users[rows], axis=0, out=xg)
+        np.take(x, users[rows], axis=0, out=xg, mode="clip")
         bounds = ws.request("serving.index.bounds", (g, ncells), np.float32)
         np.matmul(xg, index.centroids.T, out=bounds)
         unorms = np.sqrt(np.einsum("gf,gf->g", xg, xg))

@@ -45,6 +45,7 @@ from ..core.hermitian import hermitian_rows  # noqa: F401
 from ..data.sparse import RatingMatrix
 from ..resilience.checkpoint import Checkpoint, latest_checkpoint, save_checkpoint
 from ..runtime.executor import CsrView, ShardExecutor, partition_rows
+from ..runtime.plan import RuntimePlan
 from ..serving.health import ServingHealth
 from .delta import (
     DeltaCheckpoint,
@@ -168,7 +169,10 @@ class IngestEngine:
         self.tear_next_append = False
         self.poison_next_foldin = False
         self._last_repairs = 0
-        self.runtime = ShardExecutor()
+        # A fold-in solves only the dirty rows (a few thousand ratings per
+        # half-step), too little work for a second lane (LANE_MIN_NNZ);
+        # one shard also spares the per-shard kernel overhead.
+        self.runtime = ShardExecutor(RuntimePlan(shards=1))
 
         self.wal = RatingsWAL(
             os.path.join(self.directory, "wal"),

@@ -78,10 +78,12 @@ physical, see docs/verification.md), and exact-LRU cache monotonicity
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
@@ -109,6 +111,7 @@ from ..resilience.faults import (
 )
 from ..resilience.guards import GuardPolicy
 from ..resilience.health import RunHealth
+from ..runtime import executor as executor_module
 from ..runtime.executor import ShardExecutor
 from ..runtime.plan import ORACLE_PLAN, RuntimePlan, SupervisionPolicy
 from ..serving.batcher import MicroBatcher
@@ -495,7 +498,9 @@ def check_cache_monotone(case: CacheCase) -> list[Diagnostic]:
 def _runtime_layouts(case: RuntimeCase, pair: RuntimePlan) -> dict[str, RuntimePlan]:
     """The case's layouts of one kernel pair (everything but the pair)."""
     layouts = {
-        "serial": {},
+        "serial": dict(shards=1),
+        "default": {},
+        "threaded": dict(chunk_elems=case.chunk_elems, shards=case.shards + 1),
         "sharded": dict(chunk_elems=case.chunk_elems, shards=case.shards),
         "no-arena": dict(chunk_elems=case.chunk_elems, shards=case.shards, arena=False),
         "compact": dict(shards=case.shards, compact_cg=True),
@@ -511,15 +516,21 @@ def check_runtime_determinism(case: RuntimeCase) -> list[Diagnostic]:
     """VF107: within one kernel pair, every layout reproduces the same bits.
 
     Numerics are fixed by the plan's kernel pair (``method``,
-    ``cg_backend``); the layout — shards, forked workers, chunk size,
-    arena on or off, CG compaction forced — never changes them.  Two
+    ``cg_backend``); the layout — shards, in-process lanes, forked
+    workers, chunk size, arena on or off, CG compaction forced — never
+    changes them.  Two
     contracts, factors *and* iteration/matvec counters both:
 
     (a) :data:`~repro.runtime.plan.ORACLE_PLAN` and each of its layouts
         equal the raw seed pipeline — one ``hermitian_and_bias`` call
         plus one full-batch ``cg_solve_batched`` at their defaults;
-    (b) each layout of the default pair ``RuntimePlan()`` equals the
-        default serial half-step.
+    (b) each layout of the default pair ``RuntimePlan()`` equals its
+        one-lane half-step (``shards=1``).
+
+    Shards without workers run on in-process threads (lanes).  The
+    cases are far below the executor's per-lane work floor
+    (``LANE_MIN_NNZ``), so the ``threaded`` layout pins three usable
+    cores and lifts the floor: it runs several lanes on any host.
 
     Rows are never split across shards and CG lanes never interact, so
     any drift is a real bug in the executor, arena, or compaction
@@ -529,8 +540,11 @@ def check_runtime_determinism(case: RuntimeCase) -> list[Diagnostic]:
     cg_cfg = CGConfig(max_iters=case.fs, tol=1e-4)
     precision = Precision(case.precision)
 
-    def half_step(plan: RuntimePlan) -> tuple[np.ndarray, int, int]:
-        with ShardExecutor(plan) as executor:
+    def half_step(plan: RuntimePlan, lanes: int | None = None) -> tuple[np.ndarray, int, int]:
+        pin = contextlib.nullcontext() if lanes is None else mock.patch.multiple(
+            executor_module, usable_cores=lambda: lanes, LANE_MIN_NNZ=1
+        )
+        with pin, ShardExecutor(plan) as executor:
             result = executor.half_step(
                 ratings, theta, warm, lam=case.lam, cg_config=cg_cfg,
                 precision=precision,
@@ -543,14 +557,16 @@ def check_runtime_determinism(case: RuntimeCase) -> list[Diagnostic]:
     checks = [
         ("oracle", "the raw pipeline", _runtime_layouts(case, ORACLE_PLAN),
          (seed.x, seed.iterations, seed.matvec_count)),
-        ("default", "the default serial run", default_layouts,
+        ("default", "the one-lane run", default_layouts,
          half_step(default_layouts.pop("serial"))),
     ]
 
     findings: list[Diagnostic] = []
     for pair, ref_name, plans, (ref_x, ref_iters, ref_matvecs) in checks:
         for name, plan in plans.items():
-            factors, iterations, matvecs = half_step(plan)
+            factors, iterations, matvecs = half_step(
+                plan, lanes=3 if name == "threaded" else None
+            )
             subject = f"runtime.determinism[{pair}/{name}]"
             if not np.array_equal(factors, ref_x):
                 delta = np.abs(factors.astype(np.float64) - ref_x.astype(np.float64))

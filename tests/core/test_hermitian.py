@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import hermitian_and_bias, hermitian_rows
+from repro.core.hermitian import HERMITIAN_METHODS
 from repro.data import RatingMatrix, SyntheticConfig, generate_ratings
+from repro.runtime import CsrView
 
 
 def naive_hermitian(ratings, theta, lam, count_weighted=True):
@@ -95,6 +97,19 @@ class TestEdgeCases:
         ratings, _ = small
         with pytest.raises(ValueError, match="columns"):
             hermitian_and_bias(ratings, np.ones((5, 4), dtype=np.float32), 0.1)
+
+    @pytest.mark.parametrize("method", HERMITIAN_METHODS)
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_column_raises(self, method, bad):
+        """The gathers run unbuffered (clip mode), so one explicit range
+        check keeps a bad column index an ``IndexError``."""
+        view = CsrView(
+            m=2, n=4, row_ptr=np.array([0, 2, 3]),
+            col_idx=np.array([0, bad, 1]), row_val=np.ones(3, np.float32),
+        )
+        theta = np.ones((4, 3), dtype=np.float32)
+        with pytest.raises(IndexError, match="column"):
+            hermitian_rows(view, theta, 0.1, method=method)
 
     def test_negative_lambda(self, small):
         ratings, theta = small

@@ -16,7 +16,7 @@ from repro.core.hermitian import (
     hermitian_and_bias,
     hermitian_rows,
 )
-from repro.data import SyntheticConfig, generate_ratings
+from repro.data import RatingMatrix, SyntheticConfig, generate_ratings
 from repro.runtime import Workspace
 
 LAM = 0.1
@@ -79,6 +79,21 @@ class TestWorkspacePath:
             ratings, theta, LAM, method=method, workspace=ws, out=out
         )
         assert ws.allocations == 0
+
+    @pytest.mark.parametrize("method", HERMITIAN_METHODS)
+    def test_stale_out_buffers_are_fully_overwritten(self, method):
+        """``grouped`` writes every row with observations and zeroes only
+        the empty ones; no stale value of ``out`` survives either kernel."""
+        ratings = RatingMatrix.from_coo(
+            [1, 1, 3, 4, 4, 4, 6], [0, 2, 1, 0, 1, 2, 2], np.arange(1.0, 8.0),
+            m=8, n=3,
+        )
+        theta = np.random.default_rng(3).normal(0, 1, (3, 4)).astype(np.float32)
+        ref_A, ref_b = hermitian_and_bias(ratings, theta, LAM, method=method)
+        out = (np.full((8, 4, 4), np.nan, np.float32), np.full((8, 4), np.nan, np.float32))
+        A, b = hermitian_and_bias(ratings, theta, LAM, method=method, out=out)
+        assert np.array_equal(A, ref_A)
+        assert np.array_equal(b, ref_b)
 
     def test_rows_slice_matches_full(self, small):
         ratings, theta = small

@@ -1,12 +1,18 @@
 """Tests for RMSE and convergence-curve utilities."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.data import RatingMatrix
+from repro.data.datasets import load_surrogate
 from repro.metrics import TrainingCurve, predict_entries, rmse
+from repro.metrics.rmse import RMSE_BLOCK
+
+# the package re-exports the function under the submodule's name
+rmse_module = importlib.import_module("repro.metrics.rmse")
 
 
 @pytest.fixture
@@ -39,6 +45,26 @@ class TestRmse:
     def test_empty_is_nan(self):
         empty = RatingMatrix.from_coo([], [], [], m=3, n=3)
         assert math.isnan(rmse(np.ones((3, 2)), np.ones((3, 2)), empty))
+
+    @pytest.mark.parametrize("block", [RMSE_BLOCK, 1_000])
+    def test_blocked_rmse_is_the_unblocked_formula(self, monkeypatch, block):
+        """Bit-identical to one full-size gather, on both splits."""
+        monkeypatch.setattr(rmse_module, "RMSE_BLOCK", block)
+        split, _ = load_surrogate("netflix", scale=0.1)
+        rng = np.random.default_rng(4)
+        for ratings in (split.train, split.test):
+            x = rng.normal(0, 0.5, (ratings.m, 16)).astype(np.float32)
+            theta = rng.normal(0, 0.5, (ratings.n, 16)).astype(np.float32)
+            rows = np.repeat(np.arange(ratings.m), ratings.row_counts())
+            err = predict_entries(x, theta, rows, ratings.col_idx) - ratings.row_val
+            assert rmse(x, theta, ratings) == float(np.sqrt(np.mean(err * err)))
+
+    def test_out_of_range_entries_raise(self, exact_model):
+        x, theta, ratings = exact_model
+        with pytest.raises(IndexError):
+            rmse(x[:5], theta, ratings)
+        with pytest.raises(IndexError):
+            rmse(x, theta[:3], ratings)
 
     def test_predict_entries(self, exact_model):
         x, theta, _ = exact_model

@@ -8,13 +8,15 @@ event, so the deadline test checks kinds, not the full ledger.
 """
 
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.config import CGConfig, Precision
 from repro.data import SyntheticConfig, generate_ratings
-from repro.resilience.faults import FaultPlan, expected_fault_events
+import repro.runtime.executor as executor_module
+from repro.resilience.faults import FaultPlan, InjectedWorkerKill, expected_fault_events
 from repro.resilience.guards import GuardPolicy
 from repro.resilience.health import RunHealth
 from repro.runtime import RuntimePlan, ShardExecutor
@@ -89,6 +91,76 @@ class TestSerialSupervised:
 
 
 @needs_fork
+class TestThreadedLanes:
+    """In-process lanes report exactly what the one-lane loop reports."""
+
+    @staticmethod
+    def _run(problem, monkeypatch, cores, faults, policy=FAST, steps=3, shards=5):
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: cores)
+        monkeypatch.setattr(executor_module, "LANE_MIN_NNZ", 1)
+        health = RunHealth()
+        error = None
+        with ShardExecutor(
+            RuntimePlan(shards=shards), supervision=policy, faults=faults,
+            guard=GuardPolicy(), health=health,
+        ) as executor:
+            try:
+                factors = run_steps(executor, problem, steps=steps).factors.copy()
+            except InjectedWorkerKill as exc:
+                factors, error = None, str(exc)
+        return factors, error, health.events
+
+    def test_fault_log_equals_the_one_lane_log_in_order(self, problem, monkeypatch):
+        faults = FaultPlan(
+            seed=8, kill_rate=0.4, delay_rate=0.3, nan_rate=0.3,
+            delay_seconds=0.0,
+        )
+        one_factors, _, one_log = self._run(problem, monkeypatch, 1, faults)
+        kinds = {event.kind for event in one_log}
+        assert {
+            "fault.worker-kill", "supervise.retry", "fault.delay", "fault.nan-flip",
+        } <= kinds
+        for cores in (2, 3, 5):
+            factors, _, log = self._run(problem, monkeypatch, cores, faults)
+            assert log == one_log
+            assert np.array_equal(factors, one_factors)
+
+    def test_more_lanes_than_cores_under_fast_switching(self, problem, monkeypatch):
+        """Eight lanes on any host, switching threads every few
+        microseconds: a lost or reordered event, or a row written by the
+        wrong lane, breaks equality with the one-lane run."""
+        faults = FaultPlan(
+            seed=8, kill_rate=0.4, delay_rate=0.3, nan_rate=0.3,
+            delay_seconds=0.0,
+        )
+        one_factors, _, one_log = self._run(problem, monkeypatch, 1, faults, shards=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            factors, _, log = self._run(problem, monkeypatch, 8, faults, shards=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert log == one_log
+        assert np.array_equal(factors, one_factors)
+
+    def test_exhausted_retry_fails_like_the_one_lane_loop(
+        self, problem, monkeypatch
+    ):
+        """Shards after the failed one ran on other lanes, but their
+        events are dropped, as the one-lane loop never ran them."""
+        # step 0 kills shards 2 and 4; every other shard logs a delay
+        faults = FaultPlan(seed=0, kill_rate=0.3, delay_rate=1.0, delay_seconds=0.0)
+        policy = SupervisionPolicy(max_retries=0, backoff_seconds=0.0)
+        _, one_error, one_log = self._run(
+            problem, monkeypatch, 1, faults, policy=policy, steps=1
+        )
+        assert one_error is not None
+        assert one_log[-1].kind == "fault.worker-kill"
+        assert one_log[-1].shard == 2
+        _, error, log = self._run(problem, monkeypatch, 5, faults, policy=policy, steps=1)
+        assert (error, log) == (one_error, one_log)
+
+
 class TestPoolSupervised:
     def test_real_sigkills_respawn_and_account(self, problem):
         faults = FaultPlan(seed=11, kill_rate=0.4, delay_rate=0.3, delay_seconds=0.0)

@@ -8,17 +8,22 @@ performance knob.  Numerics are fixed by the plan's kernel pair
   to the raw seed pipeline (``hermitian_and_bias`` + ``cg_solve_batched``
   at their defaults);
 * **(b)** each layout of the default pair ``RuntimePlan()`` is
-  **bit-identical** to the default serial run.
+  **bit-identical** to its explicit one-lane run (``shards=1``).
 
-A layout is everything but the kernel pair: shards, forked workers,
-chunk size, arena on or off, CG compaction.  Factors and CG counters
-are compared both.
+A layout is everything but the kernel pair: shards, in-process lanes,
+forked workers, chunk size, arena on or off, CG compaction.  Factors
+and CG counters are compared both.  The lane count is
+``min(shards, usable_cores(), nnz // LANE_MIN_NNZ)``; the ``threads-*``
+layouts pin the core count and lift the work floor, so they run several
+lanes on any host.
 """
 
 import dataclasses
 import multiprocessing
 import os
 import signal
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +32,16 @@ import repro.runtime.executor as executor_module
 from repro.core.cg import cg_solve_batched
 from repro.core.config import CGConfig, Precision, SolverKind
 from repro.core.direct import lu_solve_batched
-from repro.core.hermitian import hermitian_and_bias
+from repro.core.hermitian import hermitian_and_bias, hermitian_rows
 from repro.data import SyntheticConfig, generate_ratings
-from repro.runtime import ORACLE_PLAN, CsrView, HalfStepResult, RuntimePlan, ShardExecutor
+from repro.runtime import (
+    ORACLE_PLAN,
+    CsrView,
+    HalfStepResult,
+    RuntimePlan,
+    ShardExecutor,
+    Workspace,
+)
 
 LAM = 0.08
 CG = CGConfig(max_iters=5, tol=1e-5)
@@ -39,13 +51,29 @@ PAIRS = {"oracle": ORACLE_PLAN, "default": RuntimePlan()}
 
 #: Layouts each kernel pair must be invariant to.
 LAYOUTS = {
-    "serial": {},
+    "serial": dict(shards=1),
+    "default": {},
     "sharded-4": dict(shards=4),
     "small-chunks": dict(shards=3, chunk_elems=2_048),
     "no-arena": dict(shards=4, arena=False),
     "compact-cg": dict(shards=2, compact_cg=True),
     "workers-1": dict(shards=4, workers=1),
     "workers-4": dict(shards=4, workers=4),
+    "threads-2": dict(shards=2),
+    "threads-3-of-7": dict(shards=7),
+    "threads-small-chunks": dict(shards=3, chunk_elems=2_048),
+    "threads-no-arena": dict(shards=4, arena=False),
+    "threads-compact-cg": dict(shards=4, compact_cg=True),
+}
+
+#: Usable cores the ``threads-*`` layouts pretend to have, with no work
+#: floor per lane (the others run on the host's cores and floor).
+CORES = {
+    "threads-2": 2,
+    "threads-3-of-7": 3,
+    "threads-small-chunks": 3,
+    "threads-no-arena": 4,
+    "threads-compact-cg": 4,
 }
 
 
@@ -62,27 +90,35 @@ def problem():
     return ratings, theta, warm
 
 
-def _half_step(plan, problem):
+def _half_step(plan, problem, cores=None):
     ratings, theta, warm = problem
-    with ShardExecutor(plan) as executor:
-        result = executor.half_step(
-            ratings, theta, warm, lam=LAM, cg_config=CG,
-            precision=Precision.FP16,
-        )
-        return result.factors.copy(), result.cg_iterations, result.cg_matvec_count
+    with pytest.MonkeyPatch.context() as patch:
+        if cores is not None:
+            patch.setattr(executor_module, "usable_cores", lambda: cores)
+            patch.setattr(executor_module, "LANE_MIN_NNZ", 1)
+        with ShardExecutor(plan) as executor:
+            result = executor.half_step(
+                ratings, theta, warm, lam=LAM, cg_config=CG,
+                precision=Precision.FP16,
+            )
+            return result.factors.copy(), result.cg_iterations, result.cg_matvec_count
+
+
+def _layout_step(pair, name, problem):
+    return _half_step(_plan(pair, name), problem, CORES.get(name))
 
 
 @pytest.fixture(scope="module")
 def expected(problem):
     """Per kernel pair, the (factors, iterations, matvecs) every layout
     must reproduce: (a) the raw seed pipeline for the oracle pair, (b)
-    the default serial run for the default pair."""
+    the explicit one-lane run for the default pair."""
     ratings, theta, warm = problem
     A, b = hermitian_and_bias(ratings, theta, LAM)
     seed = cg_solve_batched(A, b, x0=warm, config=CG, precision=Precision.FP16)
     return {
         "oracle": (seed.x, seed.iterations, seed.matvec_count),
-        "default": _half_step(RuntimePlan(), problem),
+        "default": _half_step(RuntimePlan(shards=1), problem),
     }
 
 
@@ -95,14 +131,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_bit_identical_to_seed_pipeline(self, problem, expected, name):
         """Contract (a): every oracle layout is the seed pipeline."""
-        _assert_same(_half_step(_plan("oracle", name), problem), expected["oracle"])
+        _assert_same(_layout_step("oracle", name, problem), expected["oracle"])
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_default_pair_bit_identical_to_default_serial(
         self, problem, expected, name
     ):
-        """Contract (b): every default-pair layout is the default serial run."""
-        _assert_same(_half_step(_plan("default", name), problem), expected["default"])
+        """Contract (b): every default-pair layout is the one-lane run."""
+        _assert_same(_layout_step("default", name, problem), expected["default"])
 
     def test_default_pair_is_the_fast_kernels(self):
         assert (PAIRS["default"].method, PAIRS["default"].cg_backend) == (
@@ -138,6 +174,76 @@ class TestArenaSteadyState:
             assert executor.workspace.reuses > 0
         finally:
             executor.close()
+
+    def test_every_lane_reports_through_the_workspace(self, problem, monkeypatch):
+        """Each lane grows its own arena; ``workspace`` counts them all."""
+        ratings, theta, warm = problem
+        warm_allocs = {}
+        for cores in (1, 3):
+            monkeypatch.setattr(executor_module, "usable_cores", lambda: cores)
+            monkeypatch.setattr(executor_module, "LANE_MIN_NNZ", 1)
+            with ShardExecutor(RuntimePlan(shards=3)) as executor:
+                executor.half_step(ratings, theta, warm, lam=LAM, cg_config=CG)
+                warm_allocs[cores] = executor.workspace.allocations
+                assert sum(ws.allocations for ws in executor._lane_arenas) == 0
+                executor.workspace.reset_counters()
+                executor.half_step(ratings, theta, warm, lam=LAM, cg_config=CG)
+                assert executor.workspace.allocations == 0
+                assert executor.workspace.reuses > 0
+        assert warm_allocs[3] > warm_allocs[1]
+
+    def test_warm_step_allocates_no_nnz_sized_transient(self):
+        """Gathers write their arena buffers directly: NumPy's buffered
+        ``take`` would add an nnz·f·4-byte temporary per call."""
+        ratings = generate_ratings(SyntheticConfig(m=600, n=200, nnz=20_000, seed=2))
+        f = 32
+        rng = np.random.default_rng(0)
+        theta = rng.normal(0, 0.1, (ratings.n, f)).astype(np.float32)
+        warm = rng.normal(0, 0.1, (ratings.m, f)).astype(np.float32)
+        ws = Workspace()
+        A = np.empty((ratings.m, f, f), np.float32)
+        b = np.empty((ratings.m, f), np.float32)
+        x = np.empty((ratings.m, f), np.float32)
+
+        def step():
+            hermitian_rows(
+                ratings, theta, LAM, method="grouped", workspace=ws, out=(A, b)
+            )
+            cg_solve_batched(
+                A, b, x0=warm, config=CG, precision=Precision.FP16,
+                workspace=ws, backend="fused", out=x,
+            )
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ratings.nnz * f * 4 / 8
+
+    def test_lane_threads_start_lazily_and_close_joins_them(
+        self, problem, monkeypatch
+    ):
+        ratings, theta, warm = problem
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 3)
+
+        def lane_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("repro-lane")]
+
+        before = len(lane_threads())
+        executor = ShardExecutor(RuntimePlan(shards=3))
+        # 900 ratings are too little work for a second lane
+        executor.half_step(ratings, theta, warm, lam=LAM, cg_config=CG)
+        assert executor._threads is None
+        monkeypatch.setattr(executor_module, "LANE_MIN_NNZ", 300)
+        executor.half_step(ratings, theta, warm, lam=LAM, cg_config=CG)
+        # at most two pool threads: lane 0 is the calling thread
+        assert before < len(lane_threads()) <= before + 2
+        executor.close()
+        assert executor._threads is None
+        assert len(lane_threads()) == before
 
     def test_no_arena_plan_has_no_workspace(self):
         executor = ShardExecutor(RuntimePlan(arena=False))

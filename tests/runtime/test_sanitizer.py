@@ -191,6 +191,33 @@ class TestExecutorUnderSanitizer:
         assert len(sanitizer.report_log) == before
         assert np.all(np.isfinite(result.factors))
 
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_threaded_lanes_run_sanitized(
+        self, problem, sanitized, monkeypatch, cores
+    ):
+        """The multi-lane path runs every sanitizer check but the
+        outside-slice witness, which runs whenever one lane executes."""
+        ratings, theta, warm = problem
+        witnessed = []
+        real_witness = sanitizer.SliceWitness
+
+        def counting_witness(out, lo, hi):
+            witnessed.append((lo, hi))
+            return real_witness(out, lo, hi)
+
+        monkeypatch.setattr(sanitizer, "SliceWitness", counting_witness)
+        monkeypatch.setattr(executor_mod, "usable_cores", lambda: cores)
+        monkeypatch.setattr(executor_mod, "LANE_MIN_NNZ", 1)
+        before = len(sanitizer.report_log)
+        with ShardExecutor(RuntimePlan(shards=5)) as ex:
+            for _ in range(2):  # the second half-step reuses every lane's arena
+                ex.half_step(
+                    ratings, theta, warm, lam=LAM, cg_config=CG,
+                    precision=Precision.FP16,
+                )
+        assert len(sanitizer.report_log) == before
+        assert len(witnessed) == (10 if cores == 1 else 0)
+
     def test_sanitizer_does_not_change_results(self, problem, monkeypatch):
         ratings, theta, warm = problem
         with ShardExecutor(RuntimePlan(shards=3)) as ex:
@@ -239,6 +266,9 @@ class TestExecutorUnderSanitizer:
             return result
 
         monkeypatch.setattr(executor_mod, "cg_solve_batched", leaky_solve)
+        # The witness runs whenever one lane executes (other lanes would
+        # legitimately write the rows outside the slice).
+        monkeypatch.setattr(executor_mod, "usable_cores", lambda: 1)
         with ShardExecutor(RuntimePlan(shards=3)) as ex:
             with pytest.raises(SanitizerError, match="shard slice"):
                 ex.half_step(
