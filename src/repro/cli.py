@@ -142,8 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="small CI shape (seconds) instead of the full surrogate")
     bn.add_argument("--repeats", type=int, default=None,
                     help="timed repetitions per leg (default: shape preset)")
-    bn.add_argument("--workers", type=int, default=0,
-                    help="process-pool workers for the optimized plan")
+    bn.add_argument("--workers", type=int, default=None,
+                    help="process-pool workers for the optimized plan "
+                         "(default: in-process, one shard per usable core, "
+                         "as training runs; 0: one-shard serial plan)")
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--output", default="BENCH_runtime.json",
                     help="where to write the repro.bench/v1 report")

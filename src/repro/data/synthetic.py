@@ -75,6 +75,22 @@ def _zipf_probabilities(n: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by sort + adjacent-difference mask."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _sorted_isin(a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
+    """``np.isin(a, sorted_b)`` for a non-empty ascending ``sorted_b``."""
+    pos = np.searchsorted(sorted_b, a)
+    np.minimum(pos, sorted_b.size - 1, out=pos)
+    return sorted_b[pos] == a
+
+
 def generate_ratings(
     cfg: SyntheticConfig, rng: np.random.Generator | None = None
 ) -> RatingMatrix:
@@ -98,6 +114,8 @@ def generate_ratings(
     p_users = _zipf_probabilities(cfg.m, cfg.zipf_exponent / 3.0)
 
     # Rejection-free dedup: sample in rounds until nnz distinct pairs.
+    # Sort-based throughout (``seen`` is kept sorted), yielding exactly
+    # the keys ``np.unique(key[~np.isin(key, seen)])`` would.
     seen: np.ndarray | None = None
     rows_list, cols_list = [], []
     need = cfg.nnz
@@ -105,14 +123,13 @@ def generate_ratings(
         k = int(need * 1.3) + 16
         u = rng.choice(cfg.m, size=k, p=p_users)
         v = rng.choice(cfg.n, size=k, p=p_items)
-        key = u.astype(np.int64) * cfg.n + v
+        key = _sorted_unique(u.astype(np.int64) * cfg.n + v)
         if seen is not None:
-            key = key[~np.isin(key, seen)]
-        key = np.unique(key)
+            key = key[~_sorted_isin(key, seen)]
         take = key[: min(need, key.size)]
         rows_list.append(take // cfg.n)
         cols_list.append(take % cfg.n)
-        seen = take if seen is None else np.concatenate([seen, take])
+        seen = take if seen is None else np.sort(np.concatenate([seen, take]))
         need -= take.size
         if need <= 0:
             break

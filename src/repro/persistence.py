@@ -71,8 +71,8 @@ def load_factors(
         )
     if "x" not in arrays or "theta" not in arrays:
         raise ValueError("corrupt model file: factor matrices missing")
-    x = arrays["x"].astype(np.float32)
-    theta = arrays["theta"].astype(np.float32)
+    x = arrays["x"].astype(np.float32, copy=False)
+    theta = arrays["theta"].astype(np.float32, copy=False)
     if x.ndim != 2 or theta.ndim != 2 or x.shape[1] != theta.shape[1]:
         raise ValueError("corrupt model file: factor shapes disagree")
     if x.shape[1] != header["f"]:

@@ -167,8 +167,15 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def run_bench(cfg: BenchConfig = FULL_BENCH, *, workers: int = 0) -> dict:
-    """Measure legacy vs optimized hot paths; return the report payload."""
+def run_bench(
+    cfg: BenchConfig = FULL_BENCH, *, workers: int | None = None
+) -> dict:
+    """Measure legacy vs optimized hot paths; return the report payload.
+
+    ``workers`` is passed to :func:`autotune_plan`: ``None`` (default)
+    times the in-process, one-shard-per-core layout training runs by
+    default; ``0`` the one-shard serial plan; ``>= 1`` the fork pool.
+    """
     data = generate_ratings(
         SyntheticConfig(m=cfg.m, n=cfg.n, nnz=cfg.nnz, seed=cfg.seed)
     )

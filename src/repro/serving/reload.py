@@ -59,8 +59,8 @@ class ReloadOutcome:
 
 def _factor_digest(x: np.ndarray, theta: np.ndarray) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(x, dtype=np.float32).tobytes())
-    h.update(np.ascontiguousarray(theta, dtype=np.float32).tobytes())
+    h.update(np.ascontiguousarray(x, dtype=np.float32))
+    h.update(np.ascontiguousarray(theta, dtype=np.float32))
     return h.hexdigest()
 
 

@@ -77,8 +77,8 @@ def state_digest(x: np.ndarray, theta: np.ndarray) -> str:
     same state everywhere.
     """
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(x, dtype=np.float32).tobytes())
-    h.update(np.ascontiguousarray(theta, dtype=np.float32).tobytes())
+    h.update(np.ascontiguousarray(x, dtype=np.float32))
+    h.update(np.ascontiguousarray(theta, dtype=np.float32))
     return h.hexdigest()
 
 

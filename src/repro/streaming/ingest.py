@@ -33,6 +33,7 @@ bias ``1 + α·r``, Gram-matrix completion, plain λ) matching
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -145,14 +146,18 @@ class IngestEngine:
         # The corpus: base entries in CSR order, then streamed merges in
         # WAL-sequence order.  Replay reproduces the same insertion order,
         # which keeps the rebuilt CSR (and therefore every solve)
-        # bit-identical across resumes.
+        # bit-identical across resumes.  Built from one ``tolist()`` per
+        # CSR array (no NumPy scalar boxed per entry), sharing one int
+        # object per row.
         self._entries: dict[tuple[int, int], float] = {}
+        ptr = base_ratings.row_ptr.tolist()
+        cols = base_ratings.col_idx.tolist()
+        vals = base_ratings.row_val.tolist()
         for u in range(base_ratings.m):
-            lo, hi = base_ratings.row_ptr[u], base_ratings.row_ptr[u + 1]
-            for v, r in zip(
-                base_ratings.col_idx[lo:hi], base_ratings.row_val[lo:hi]
-            ):
-                self._entries[(int(u), int(v))] = float(r)
+            lo, hi = ptr[u], ptr[u + 1]
+            self._entries.update(
+                zip(zip(itertools.repeat(u, hi - lo), cols[lo:hi]), vals[lo:hi])
+            )
         self._streamed: dict[tuple[int, int], float] = {}
         self._pending: list[tuple[int, int, int, float]] = []  # seq, u, v, r
         self._dirty_users: set[int] = set()

@@ -39,6 +39,25 @@ def make_baseline(**sections):
 
 
 class TestRunBench:
+    def test_default_times_the_training_layout(self, monkeypatch):
+        # workers=None is autotune's in-process, one-shard-per-core plan,
+        # the layout a default training run executes.
+        import repro.runtime.bench as bench
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def recording_autotune(*args, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(bench, "autotune_plan", recording_autotune)
+        with pytest.raises(Stop):
+            run_bench(TINY)
+        assert seen["workers"] is None
+
     def test_report_shape(self, result):
         assert result["schema"] == SCHEMA
         assert set(result["sections"]) == {

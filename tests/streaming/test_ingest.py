@@ -104,6 +104,37 @@ class TestIngestAck:
             IngestEngine(x, theta, ratings, directory=tmp_path)
 
 
+class TestCorpus:
+    @staticmethod
+    def per_entry_corpus(ratings):
+        # The straightforward build: one boxed NumPy scalar per entry.
+        entries = {}
+        for u in range(ratings.m):
+            lo, hi = ratings.row_ptr[u], ratings.row_ptr[u + 1]
+            for v, r in zip(ratings.col_idx[lo:hi], ratings.row_val[lo:hi]):
+                entries[(int(u), int(v))] = float(r)
+        return entries
+
+    @pytest.mark.parametrize("empty_rows", [False, True])
+    def test_matches_per_entry_build(self, tmp_path, empty_rows):
+        ratings, x, theta = make_corpus(m=12, n=9, nnz=60, seed=3)
+        if empty_rows:
+            # Users 0, 5 and 11 rate nothing.
+            rows = np.array([1, 1, 2, 3, 3, 3, 4, 6, 7, 8, 9, 10])
+            cols = np.array([0, 8, 4, 1, 2, 7, 3, 5, 6, 0, 2, 8])
+            vals = np.linspace(1.0, 5.0, rows.size).astype(np.float32)
+            ratings = RatingMatrix.from_coo(rows, cols, vals, m=12, n=9)
+            assert (ratings.row_counts() == 0).sum() == 3
+        engine = IngestEngine(x, theta, ratings, directory=tmp_path)
+        want = self.per_entry_corpus(ratings)
+        assert list(engine._entries.items()) == list(want.items())
+        assert all(
+            type(u) is int and type(v) is int and type(r) is float
+            for (u, v), r in engine._entries.items()
+        )
+        engine.close()
+
+
 class TestFoldIn:
     def test_clean_rows_bit_identical(self, tmp_path):
         engine, *_ = make_engine(tmp_path)

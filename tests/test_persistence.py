@@ -1,11 +1,15 @@
 """Tests for model save/load."""
 
+import tracemalloc
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core import ALSConfig, ALSModel, CGConfig, Precision, ReadScheme, SolverKind
 from repro.data import load_surrogate
 from repro.persistence import load_factors, load_model, save_model
+from repro.resilience.atomicio import load_archive
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +151,10 @@ class TestHardening:
         np.testing.assert_array_equal(again.x_, model.x_)
 
     def test_mid_member_bit_flip_rejected(self, fitted, tmp_path):
-        # A flipped byte inside a compressed zip member surfaces as a
-        # zlib error deep in numpy; it must still come back as the
-        # documented ValueError, not leak a decoder exception.
+        # A flipped byte inside a stored zip member fails the member's
+        # zip CRC-32 (or, failing that, its SHA-256 checksum); it must
+        # come back as the documented ValueError, not leak a zipfile
+        # exception.
         model, _ = fitted
         p = tmp_path / "model.npz"
         save_model(p, model)
@@ -158,6 +163,44 @@ class TestHardening:
         p.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="corrupt|truncated"):
             load_model(p)
+
+
+class TestStoredArchive:
+    def test_members_are_stored(self, fitted, tmp_path):
+        model, _ = fitted
+        p = tmp_path / "model.npz"
+        save_model(p, model)
+        with zipfile.ZipFile(p) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_deflated_model_still_loads(self, fitted, tmp_path):
+        # A model written before members were stored: same header and
+        # checksums, deflated members.
+        model, _ = fitted
+        p = tmp_path / "model.npz"
+        save_model(p, model)
+        with np.load(p) as z:
+            data = dict(z)
+        np.savez_compressed(p, **data)
+        again = load_model(p)
+        np.testing.assert_array_equal(again.x_, model.x_)
+        np.testing.assert_array_equal(again.theta_, model.theta_)
+
+    def test_save_peak_memory_bounded(self, tmp_path):
+        # Stored members are written in chunks and checksums hash the
+        # buffers in place, so saving never holds a full-size copy.
+        model = ALSModel(ALSConfig(f=32))
+        model.x_ = np.ones((16, 32), dtype=np.float32)
+        model.theta_ = np.ones((262_144, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            save_model(tmp_path / "model.npz", model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * model.theta_.nbytes
 
 
 class TestLoadFactors:
@@ -170,6 +213,23 @@ class TestLoadFactors:
         np.testing.assert_array_equal(theta, model.theta_)
         assert header["format_version"] == 2
         assert header["f"] == model.config.f
+
+    def test_float32_members_not_copied(self, fitted, tmp_path, monkeypatch):
+        import repro.persistence as persistence
+
+        model, _ = fitted
+        p = tmp_path / "model.npz"
+        save_model(p, model)
+        loaded = {}
+
+        def recording_load(path):
+            header, arrays = load_archive(path)
+            loaded.update(arrays)
+            return header, arrays
+
+        monkeypatch.setattr(persistence, "load_archive", recording_load)
+        x, theta, _ = load_factors(p)
+        assert x is loaded["x"] and theta is loaded["theta"]
 
     def test_missing_array_rejected(self, fitted, tmp_path):
         model, _ = fitted
