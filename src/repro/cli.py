@@ -476,9 +476,26 @@ def _cmd_bench(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_chaos(args) -> int:
+def _finish_drill(args, name: str, report: dict, summary) -> int:
+    """The drills' common tail: archive, print, and gate on ``ok``.
+
+    Writes the full report to ``--output``, prints it without its
+    health log, then either fails or prints ``<name>: ok — summary``.
+    """
     import json
 
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+    print(json.dumps({k: v for k, v in report.items() if k != "health"}, indent=2))
+    if not report["ok"]:
+        print(f"{name}: FAILED (see report above)", file=sys.stderr)
+        return 1
+    print(f"{name}: ok — {summary(report)}")
+    return 0
+
+
+def _cmd_chaos(args) -> int:
     from .resilience.chaos import run_chaos
 
     report = run_chaos(
@@ -487,23 +504,17 @@ def _cmd_chaos(args) -> int:
         kill_resume=args.kill_resume,
         checkpoint_dir=args.checkpoint_dir,
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-    summary = {k: v for k, v in report.items() if k != "health"}
-    print(json.dumps(summary, indent=2))
-    if not report["ok"]:
-        print("chaos: FAILED (see report above)", file=sys.stderr)
-        return 1
-    print(f"chaos: ok — {report['expected_faults']} fault(s) injected, "
-          "all accounted, factors finite, objective within tolerance"
-          + (", kill-resume bit-equal" if args.kill_resume else ""))
-    return 0
+    return _finish_drill(
+        args,
+        "chaos",
+        report,
+        lambda r: f"{r['expected_faults']} fault(s) injected, "
+        "all accounted, factors finite, objective within tolerance"
+        + (", kill-resume bit-equal" if args.kill_resume else ""),
+    )
 
 
 def _cmd_serve(args) -> int:
-    import json
-
     from .serving.drill import run_fleet_drill, run_serving_drill
 
     chaos = not args.smoke or args.chaos
@@ -526,40 +537,30 @@ def _cmd_serve(args) -> int:
             nprobe=args.nprobe,
             workdir=args.workdir,
         )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-    summary = {k: v for k, v in report.items() if k != "health"}
-    print(json.dumps(summary, indent=2))
-    if not report["ok"]:
-        print("serve: FAILED (see report above)", file=sys.stderr)
-        return 1
-    if args.workers > 0:
-        throughput = report["throughput"]
-        print(
-            f"serve: ok — {report['requests']} request(s) over "
+    return _finish_drill(args, "serve", report, _serve_summary)
+
+
+def _serve_summary(report: dict) -> str:
+    faults = (
+        f", {report['expected_faults']} fault(s) injected and accounted"
+        if report["fault_plan"] is not None
+        else " (fault-free smoke)"
+    )
+    if "workers" in report:
+        return (
+            f"{report['requests']} request(s) over "
             f"{report['ticks']} tick(s) across {report['workers']} "
             f"worker(s), availability {report['availability']:.4f}, "
-            f"{throughput['requests_per_s']:.0f} req/s"
-            + (
-                f", {report['expected_faults']} fault(s) injected and "
-                "accounted"
-                if report["mode"] == "fleet-chaos"
-                else " (fault-free smoke)"
-            )
+            f"{report['throughput']['requests_per_s']:.0f} req/s"
+            + faults
             + ", single-worker fleet bit-identical to in-process engine"
         )
-        return 0
     retrieval = report["retrieval"]
-    print(
-        f"serve: ok — {report['requests']} request(s) over "
+    return (
+        f"{report['requests']} request(s) over "
         f"{report['ticks']} tick(s), availability "
         f"{report['availability']:.4f}"
-        + (
-            f", {report['expected_faults']} fault(s) injected and accounted"
-            if report["mode"] == "chaos"
-            else " (fault-free smoke)"
-        )
+        + faults
         + (
             f", recall@{retrieval['k']} {retrieval['recall_at_k']:.3f} at "
             f"nprobe {retrieval['nprobe']}/{retrieval['ncells']}"
@@ -567,12 +568,9 @@ def _cmd_serve(args) -> int:
             else ", index disabled"
         )
     )
-    return 0
 
 
 def _cmd_ingest(args) -> int:
-    import json
-
     from .streaming.drill import run_ingest_drill
 
     chaos = not args.smoke or args.chaos
@@ -582,28 +580,22 @@ def _cmd_ingest(args) -> int:
         chaos=chaos,
         workdir=args.workdir,
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-    print(json.dumps(report, indent=2))
-    if not report["ok"]:
-        print("ingest: FAILED (see report above)", file=sys.stderr)
-        return 1
-    replay = report["kill_replay"]
-    print(
-        f"ingest: ok — {report['streamed']} rating(s) streamed, "
-        f"{report['requests']} request(s) served over {report['ticks']} "
-        f"tick(s), availability {report['availability']:.4f}, "
+    return _finish_drill(
+        args,
+        "ingest",
+        report,
+        lambda r: f"{r['streamed']} rating(s) streamed, "
+        f"{r['requests']} request(s) served over {r['ticks']} "
+        f"tick(s), availability {r['availability']:.4f}, "
         f"read-your-writes held"
         + (
-            f", {report['expected_faults']} fault(s) injected and accounted"
-            if report["mode"] == "chaos"
+            f", {r['expected_faults']} fault(s) injected and accounted"
+            if r["mode"] == "chaos"
             else " (fault-free smoke)"
         )
-        + f"; kill-replay across {replay['ops']} op(s) bit-identical "
-        f"({replay['compactions']} compaction(s), torn tail repaired)"
+        + f"; kill-replay across {r['kill_replay']['ops']} op(s) bit-identical "
+        f"({r['kill_replay']['compactions']} compaction(s), torn tail repaired)",
     )
-    return 0
 
 
 def _cmd_devices(_args) -> int:

@@ -8,8 +8,9 @@ both survivable:
 
 * :mod:`repro.resilience.faults` — a seeded :class:`FaultPlan` that can
   kill workers, delay shards, flip CG batches to NaN/Inf and force FP16
-  overflow at configurable rates (tests, ``repro verify`` VF108, and the
-  ``repro chaos`` CLI all drive it);
+  overflow at configurable rates, and injects the serving and ingestion
+  faults of the online drills (tests, ``repro verify``, and the
+  ``repro chaos``/``serve``/``ingest`` CLIs all drive it);
 * :mod:`repro.resilience.guards` — per-half-step numeric sentinels and
   the graceful-degradation ladder (quarantine + re-solve → FP16→FP32
   escalation → CG→LU fallback → structured :class:`NumericalFault`);
@@ -40,7 +41,7 @@ from .faults import (
     SERVING_FAULT_KINDS,
     FaultPlan,
     InjectedWorkerKill,
-    ServingFaultPlan,
+    account,
     expected_fault_events,
     expected_serving_faults,
 )
@@ -66,7 +67,7 @@ __all__ = [
     "NumericalFault",
     "RunHealth",
     "SERVING_FAULT_KINDS",
-    "ServingFaultPlan",
+    "account",
     "check_factors_finite",
     "check_normal_equations",
     "expected_fault_events",

@@ -39,11 +39,11 @@ from ..data.datasets import load_surrogate
 from ..metrics.rmse import rmse
 from ..runtime.executor import ShardExecutor
 from ..runtime.plan import RuntimePlan, SupervisionPolicy
-from .faults import FaultPlan, expected_fault_events
+from .faults import FaultPlan, account, expected_fault_events
 from .guards import GuardPolicy
 from .health import RunHealth
 
-__all__ = ["BUDGETS", "run_chaos"]
+__all__ = ["BUDGETS", "fit_supervised", "run_chaos"]
 
 #: Budget → workload/campaign sizing.  ``small`` is the CI smoke tier
 #: (seconds); ``medium`` exercises more shards and epochs for local runs.
@@ -81,10 +81,14 @@ _RATES = {
 _OBJECTIVE_TOL = {Precision.FP16: 0.05, Precision.FP32: 1e-4}
 
 
-def _fit_chaos(cfg, budget, train, *, faults, epochs):
-    """One supervised training run; returns (model, executor)."""
+def fit_supervised(cfg, train, *, shards, workers, faults, epochs):
+    """One supervised, guarded training run under ``faults`` (or none).
+
+    Returns ``(model, executor)``; the executor's health log and spans
+    are what the fault audit reads.  Shared by ``repro chaos`` and VF108.
+    """
     executor = ShardExecutor(
-        RuntimePlan(shards=budget["shards"], workers=budget["workers"]),
+        RuntimePlan(shards=shards, workers=workers),
         supervision=SupervisionPolicy(backoff_seconds=0.001, shard_deadline=60.0),
         faults=faults,
         guard=GuardPolicy(),
@@ -147,15 +151,12 @@ def run_chaos(
     )
     faults = FaultPlan(seed=seed, delay_seconds=0.001, **_RATES)
 
-    chaos_model, executor = _fit_chaos(
-        cfg, sizing, train, faults=faults, epochs=sizing["epochs"]
-    )
-    clean_model, _ = _fit_chaos(
-        cfg, sizing, train, faults=None, epochs=sizing["epochs"]
-    )
+    geometry = {k: sizing[k] for k in ("shards", "workers", "epochs")}
+    chaos_model, executor = fit_supervised(cfg, train, faults=faults, **geometry)
+    clean_model, _ = fit_supervised(cfg, train, faults=None, **geometry)
 
     expected = expected_fault_events(faults, executor.spans_log)
-    missing, extra = executor.health.account(expected)
+    missing, extra = account(expected, executor.health.fault_events())
     factors_finite = bool(
         np.isfinite(chaos_model.x_).all() and np.isfinite(chaos_model.theta_).all()
     )
@@ -192,11 +193,13 @@ def run_chaos(
                 report["kill_resume"] = _kill_resume_roundtrip(
                     cfg, train, epochs=sizing["resume_epochs"], checkpoint_dir=tmp
                 )
-    report["ok"] = bool(
-        not missing
-        and not extra
-        and factors_finite
-        and objective_ok
-        and report.get("kill_resume", {}).get("ok", True)
-    )
+    checks = {
+        "faults_accounted": not missing and not extra,
+        "factors_finite": factors_finite,
+        "objective_within_tolerance": objective_ok,
+    }
+    if kill_resume:
+        checks["kill_resume"] = report["kill_resume"]["ok"]
+    report["checks"] = checks
+    report["ok"] = bool(all(checks.values()))
     return report

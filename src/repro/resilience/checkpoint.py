@@ -250,8 +250,3 @@ class CheckpointManager:
 
     def latest(self) -> str | None:
         return latest_checkpoint(self.directory)
-
-    def load_latest(self) -> Checkpoint | None:
-        """Load the newest checkpoint, or ``None`` for an empty directory."""
-        path = self.latest()
-        return None if path is None else load_checkpoint(path)

@@ -1,28 +1,16 @@
-"""Seeded fault injection for the supervised runtime (chaos engineering).
+"""Seeded fault injection for training, serving and ingestion (chaos).
 
-A :class:`FaultPlan` is a *pure function* from ``(kind, step, shard)`` to
+One :class:`FaultPlan` is a *pure function* from ``(kind, *site)`` to
 "does this fault fire?": every decision is derived from the plan's seed
-through an independent :class:`numpy.random.SeedSequence`, so the same
-plan injects the same faults into the same places whether the shard runs
-in-process, in a forked worker, or on a retry in either mode.  That
-determinism is what makes chaos runs *auditable*: the expected fault set
-can be enumerated up front (:func:`expected_fault_events`) and diffed
-against the :class:`~repro.resilience.health.RunHealth` log afterwards.
-
-Fault kinds (all rates are independent per ``(step, shard)`` site):
-
-* ``fault.worker-kill`` — the shard's process dies mid-shard.  In forked
-  workers this is a real ``SIGKILL`` (the supervisor detects the loss via
-  its deadline and respawns the pool); serially it raises
-  :class:`InjectedWorkerKill`, which the supervisor treats identically.
-* ``fault.delay`` — the shard sleeps ``delay_seconds`` before computing,
-  exercising deadlines and backoff.
-* ``fault.nan-flip`` — one lane of the CG solver's staged A batch is
-  flipped to NaN (bit-rot / memory-corruption model).
-* ``fault.fp16-overflow`` — one lane of the staged A batch is forced to
-  ±inf, emulating what FP16 storage of A_u would do *without* the
-  saturating conversion the library normally applies (paper Solution 4's
-  overflow hazard).
+through an independent per-kind :class:`numpy.random.SeedSequence`, so
+the same plan injects the same faults into the same places whether a
+shard runs in-process, in a forked worker, or on a retry, and whichever
+serving engine carries it.  That determinism is what makes chaos runs
+*auditable*: the expected fault set can be enumerated up front
+(:func:`expected_fault_events` per ``(step, shard)`` site,
+:func:`expected_serving_faults` per engine tick) and diffed against a
+health log afterwards (:func:`account`).  The registry ``_KINDS`` below
+describes every kind.
 
 Faults only fire on attempt 0 of a site: retries are clean, so a
 supervised run always terminates.  A worker-kill pre-empts the site's
@@ -35,6 +23,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,24 +34,12 @@ __all__ = [
     "InjectedWorkerKill",
     "NumericalFault",
     "SERVING_FAULT_KINDS",
-    "ServingFaultPlan",
+    "account",
     "expected_fault_events",
     "expected_serving_faults",
     "inject_shard_start",
     "solver_fault_hook",
 ]
-
-#: Stable sub-seed per fault kind (part of the on-disk chaos contract).
-#: Stream 5 is reserved for the supervised executor's retry-backoff
-#: jitter (:meth:`FaultPlan.backoff_jitter`) so chaos drills replay the
-#: same sleep schedule without ever touching global RNG state.
-_KIND_STREAMS = {
-    "fault.worker-kill": 1,
-    "fault.delay": 2,
-    "fault.nan-flip": 3,
-    "fault.fp16-overflow": 4,
-    "supervise.backoff-jitter": 5,
-}
 
 
 class InjectedWorkerKill(RuntimeError):
@@ -91,9 +68,66 @@ class NumericalFault(RuntimeError):
         return (type(self), (self.args[0], self.lanes, self.stage))
 
 
+#: The fault registry: kind → (stream, rate field, plane).  The stream
+#: sub-seeds the kind's :class:`numpy.random.SeedSequence` and is part of
+#: the on-disk chaos contract (``docs/resilience.md`` pins the table by
+#: test); the rate field names the :class:`FaultPlan` field that sets
+#: the kind's per-site firing rate.  Training kinds fire per
+#: ``(step, shard)`` site, serving and ingest kinds per engine tick.
+_KINDS = {
+    # the shard's process dies mid-shard (SIGKILL forked, raised serially)
+    "fault.worker-kill": (1, "kill_rate", "training"),
+    # the shard sleeps ``delay_seconds`` before computing
+    "fault.delay": (2, "delay_rate", "training"),
+    # one lane of the CG solver's staged A batch is flipped to NaN
+    "fault.nan-flip": (3, "nan_rate", "training"),
+    # one staged A lane is forced to ±inf: FP16 storage of A_u without
+    # the saturating conversion (paper Solution 4's overflow hazard)
+    "fault.fp16-overflow": (4, "overflow_rate", "training"),
+    # the scoring backend hangs past the request budget; the batch fails
+    "fault.backend-stall": (101, "stall_rate", "serving"),
+    # a hot reload of a valid artifact mid-traffic (no-op for scoring)
+    "fault.reload-during-traffic": (102, "reload_rate", "serving"),
+    # a hot reload of a corrupt artifact (must roll back)
+    "fault.corrupt-model-file": (103, "corrupt_rate", "serving"),
+    # one scored lane of the batch turns NaN after the GEMM
+    "fault.score-nan": (104, "score_nan_rate", "serving"),
+    # one fleet worker is SIGKILLed mid-batch; its requests re-route
+    "fault.fleet-worker-kill": (105, "worker_kill_rate", "serving"),
+    # one fleet worker is restarted during traffic (rolling reload)
+    "fault.fleet-worker-reload": (106, "worker_reload_rate", "serving"),
+    # one fleet worker misses its heartbeat and must be respawned
+    "fault.fleet-heartbeat-stall": (107, "heartbeat_stall_rate", "serving"),
+    # a WAL append is torn mid-record; recovery drops exactly that record
+    "fault.wal-torn-write": (108, "wal_torn_rate", "ingest"),
+    # one folded row turns NaN before install; ingest must re-solve it
+    "fault.fold-in-nan": (109, "foldin_nan_rate", "ingest"),
+    # a delta apply is forced onto the store mid-traffic
+    "fault.delta-apply-during-traffic": (110, "delta_apply_rate", "ingest"),
+}
+
+#: Stream of the supervised executor's retry-backoff jitter
+#: (:meth:`FaultPlan.backoff_jitter`), so chaos drills replay the same
+#: sleep schedule without ever touching global RNG state.
+_JITTER_STREAM = 5
+
+#: Tick-indexed kinds, injected by the serving engines.  The fleet kinds
+#: are recorded as no-op firings by the single-process engine and the
+#: ingest kinds by engines without an ingest pipeline, so accounting
+#: stays exact whichever engine carries the plan.
+SERVING_FAULT_KINDS = tuple(k for k, v in _KINDS.items() if v[2] != "training")
+
+#: The ingestion kinds, for drills that only run an ingest pipeline.
+INGEST_FAULT_KINDS = tuple(k for k, v in _KINDS.items() if v[2] == "ingest")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
-    """Rates and seed of one injection campaign (plain data, JSON-ready)."""
+    """Rates and seed of one injection campaign (plain data, JSON-ready).
+
+    One plan drives all three planes: the training rates fire per
+    ``(step, shard)`` site, the serving and ingest rates per engine tick.
+    """
 
     seed: int = 0
     kill_rate: float = 0.0
@@ -101,160 +135,6 @@ class FaultPlan:
     nan_rate: float = 0.0
     overflow_rate: float = 0.0
     delay_seconds: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        for name in ("kill_rate", "delay_rate", "nan_rate", "overflow_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        if self.delay_seconds < 0:
-            raise ValueError("delay_seconds must be non-negative")
-
-    @property
-    def rate_of(self) -> dict[str, float]:
-        return {
-            "fault.worker-kill": self.kill_rate,
-            "fault.delay": self.delay_rate,
-            "fault.nan-flip": self.nan_rate,
-            "fault.fp16-overflow": self.overflow_rate,
-        }
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    # -- deterministic decisions -------------------------------------------
-
-    def _rng(self, kind: str, step: int, shard: int) -> np.random.Generator:
-        stream = _KIND_STREAMS[kind]
-        return np.random.default_rng(
-            np.random.SeedSequence([self.seed, stream, step, shard])
-        )
-
-    def fires(self, kind: str, step: int, shard: int, attempt: int = 0) -> bool:
-        """Whether ``kind`` fires at site ``(step, shard)`` on ``attempt``.
-
-        Only attempt 0 injects: the fault models are transient, so the
-        supervisor's retry path always converges.
-        """
-        if attempt != 0:
-            return False
-        rate = self.rate_of[kind]
-        if rate <= 0.0:
-            return False
-        return bool(self._rng(kind, step, shard).random() < rate)
-
-    def lane_for(self, kind: str, step: int, shard: int, num_rows: int) -> int:
-        """Deterministic victim lane (local row index) for a corruption."""
-        if num_rows < 1:
-            raise ValueError("num_rows must be positive")
-        # Independent draw after the fire decision so lane choice does not
-        # perturb whether *other* sites fire.
-        rng = self._rng(kind, step, shard)
-        rng.random()  # consume the fire draw
-        return int(rng.integers(0, num_rows))
-
-    def backoff_jitter(self, step: int, shard: int, attempt: int) -> float:
-        """Deterministic retry-jitter fraction in ``[0, 1)`` for one site.
-
-        The supervised executor multiplies its exponential backoff by
-        ``1 + jitter_frac * backoff_jitter(...)``.  Deriving the draw
-        from the plan's own :class:`numpy.random.SeedSequence` stream
-        (never global RNG) keeps chaos drills replayable: the same plan
-        seed produces the same sleep schedule on every run, in-process
-        or forked, regardless of what else consumed random numbers.
-        """
-        if attempt < 0:
-            raise ValueError("attempt must be non-negative")
-        stream = _KIND_STREAMS["supervise.backoff-jitter"]
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, stream, step, shard, attempt])
-        )
-        return float(rng.random())
-
-
-#: Fault kinds injected into the *serving* engine (online inference),
-#: mirroring the training-side vocabulary above.  Sites are
-#: ``(kind, tick)`` — one decision per engine tick per kind:
-#:
-#: * ``fault.backend-stall`` — the scoring backend hangs past the
-#:   request budget; the batch fails and the circuit breaker counts it.
-#: * ``fault.reload-during-traffic`` — a hot model reload of a *valid*
-#:   artifact is triggered mid-traffic (must be a no-op for scoring).
-#: * ``fault.corrupt-model-file`` — a hot reload of a corrupt/truncated
-#:   artifact is triggered (must roll back to the serving model).
-#: * ``fault.score-nan`` — one scored lane of the batch is flipped to
-#:   NaN after the GEMM (bit-rot model); only that request may degrade.
-#:
-#: The ``fleet-`` kinds target the multi-process
-#: :class:`~repro.serving.fleet.FleetEngine` (they are recorded as
-#: no-op firings by the single-process engine, so accounting stays
-#: exact whichever engine carries the plan):
-#:
-#: * ``fault.fleet-worker-kill`` — one scoring worker is SIGKILLed
-#:   mid-batch; its requests must be re-routed, never lost.
-#: * ``fault.fleet-worker-reload`` — one worker is restarted during
-#:   traffic (single-worker rolling reload).
-#: * ``fault.fleet-heartbeat-stall`` — one worker stalls long enough to
-#:   miss its heartbeat; the supervisor must detect and respawn it.
-#:
-#: The ``ingest`` kinds target the streaming ingestion plane
-#: (:mod:`repro.streaming`); like the fleet kinds they are recorded as
-#: no-op firings by engines without an ingest pipeline attached:
-#:
-#: * ``fault.wal-torn-write`` — a WAL append is torn mid-record (the
-#:   tail bytes are truncated, as a power loss would); recovery must
-#:   drop exactly the torn record and keep every earlier one.
-#: * ``fault.fold-in-nan`` — one folded row of a fold-in solve is
-#:   flipped to NaN before install; the ingest engine must detect it and
-#:   re-solve rather than publish a poisoned row.
-#: * ``fault.delta-apply-during-traffic`` — a delta-checkpoint apply is
-#:   forced onto the store mid-traffic (must be invisible to scoring
-#:   except for the rows it legitimately updates).
-SERVING_FAULT_KINDS = (
-    "fault.backend-stall",
-    "fault.reload-during-traffic",
-    "fault.corrupt-model-file",
-    "fault.score-nan",
-    "fault.fleet-worker-kill",
-    "fault.fleet-worker-reload",
-    "fault.fleet-heartbeat-stall",
-    "fault.wal-torn-write",
-    "fault.fold-in-nan",
-    "fault.delta-apply-during-traffic",
-)
-
-#: The ingestion kinds, as a tuple of their own — drills that only run
-#: an ingest pipeline iterate these without re-listing them.
-INGEST_FAULT_KINDS = SERVING_FAULT_KINDS[7:]
-
-_SERVING_STREAMS = {
-    "fault.backend-stall": 101,
-    "fault.reload-during-traffic": 102,
-    "fault.corrupt-model-file": 103,
-    "fault.score-nan": 104,
-    "fault.fleet-worker-kill": 105,
-    "fault.fleet-worker-reload": 106,
-    "fault.fleet-heartbeat-stall": 107,
-    "fault.wal-torn-write": 108,
-    "fault.fold-in-nan": 109,
-    "fault.delta-apply-during-traffic": 110,
-}
-
-
-@dataclass(frozen=True)
-class ServingFaultPlan:
-    """Seeded injection campaign against the serving engine (plain data).
-
-    Like :class:`FaultPlan`, a pure function from ``(kind, tick)`` to
-    "does this fault fire?": the same plan produces the same fault
-    schedule on every replay, which is what lets ``repro serve --chaos``
-    enumerate its injections up front and audit the
-    :class:`~repro.serving.health.ServingHealth` log afterwards.
-    """
-
-    seed: int = 0
     stall_rate: float = 0.0
     reload_rate: float = 0.0
     corrupt_rate: float = 0.0
@@ -269,75 +149,91 @@ class ServingFaultPlan:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in (
-            "stall_rate",
-            "reload_rate",
-            "corrupt_rate",
-            "score_nan_rate",
-            "worker_kill_rate",
-            "worker_reload_rate",
-            "heartbeat_stall_rate",
-            "wal_torn_rate",
-            "foldin_nan_rate",
-            "delta_apply_rate",
-        ):
+        for _stream, name, _plane in _KINDS.values():
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
+        if self.delay_seconds < 0:
+            raise ValueError("delay_seconds must be non-negative")
 
     @property
     def rate_of(self) -> dict[str, float]:
-        return {
-            "fault.backend-stall": self.stall_rate,
-            "fault.reload-during-traffic": self.reload_rate,
-            "fault.corrupt-model-file": self.corrupt_rate,
-            "fault.score-nan": self.score_nan_rate,
-            "fault.fleet-worker-kill": self.worker_kill_rate,
-            "fault.fleet-worker-reload": self.worker_reload_rate,
-            "fault.fleet-heartbeat-stall": self.heartbeat_stall_rate,
-            "fault.wal-torn-write": self.wal_torn_rate,
-            "fault.fold-in-nan": self.foldin_nan_rate,
-            "fault.delta-apply-during-traffic": self.delta_apply_rate,
-        }
+        return {kind: getattr(self, v[1]) for kind, v in _KINDS.items()}
 
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def _rng(self, kind: str, tick: int) -> np.random.Generator:
+    # -- deterministic decisions -------------------------------------------
+
+    def _rng(self, stream: int, site: tuple[int, ...]) -> np.random.Generator:
         return np.random.default_rng(
-            np.random.SeedSequence([self.seed, _SERVING_STREAMS[kind], tick])
+            np.random.SeedSequence([self.seed, stream, *site])
         )
 
-    def fires(self, kind: str, tick: int) -> bool:
-        """Whether ``kind`` fires at engine tick ``tick``."""
-        rates = self.rate_of
-        if kind not in rates:
-            raise ValueError(
-                f"unknown serving fault kind {kind!r}; valid kinds: "
-                + ", ".join(SERVING_FAULT_KINDS)
-            )
-        rate = rates[kind]
-        if rate <= 0.0:
-            return False
-        return bool(self._rng(kind, tick).random() < rate)
+    def fires(self, kind: str, *site: int, attempt: int = 0) -> bool:
+        """Whether ``kind`` fires at ``site`` on ``attempt``.
 
-    def victim_lane(self, kind: str, tick: int, num_lanes: int) -> int:
-        """Deterministic victim lane/slot for a corruption or kill at a tick."""
+        ``site`` is ``(step, shard)`` for training kinds and ``(tick,)``
+        for serving and ingest kinds.  Only attempt 0 injects: the fault
+        models are transient, so the supervisor's retry path always
+        converges.
+        """
+        stream, field, _plane = _entry(kind)
+        rate = getattr(self, field)
+        if attempt != 0 or rate <= 0.0:
+            return False
+        return bool(self._rng(stream, site).random() < rate)
+
+    def victim_lane(self, kind: str, *site: int, num_lanes: int) -> int:
+        """Deterministic victim lane (row, slot or worker) at ``site``."""
         if num_lanes < 1:
             raise ValueError("num_lanes must be positive")
-        if kind not in _SERVING_STREAMS:
-            raise ValueError(
-                f"unknown serving fault kind {kind!r}; valid kinds: "
-                + ", ".join(SERVING_FAULT_KINDS)
-            )
-        rng = self._rng(kind, tick)
+        # Independent draw after the fire decision so lane choice does not
+        # perturb whether *other* sites fire.
+        rng = self._rng(_entry(kind)[0], site)
         rng.random()  # consume the fire draw
         return int(rng.integers(0, num_lanes))
 
+    def backoff_jitter(self, step: int, shard: int, attempt: int) -> float:
+        """Deterministic retry-jitter fraction in ``[0, 1)`` for one site.
 
-def expected_serving_faults(
-    plan: ServingFaultPlan, ticks: int
-) -> list[tuple[str, int]]:
+        The supervised executor multiplies its exponential backoff by
+        ``1 + jitter_frac * backoff_jitter(...)``.  Deriving the draw
+        from the plan's own :class:`numpy.random.SeedSequence` stream
+        (never global RNG) keeps chaos drills replayable: the same plan
+        seed produces the same sleep schedule on every run, in-process
+        or forked, regardless of what else consumed random numbers.
+        """
+        if attempt < 0:
+            raise ValueError("attempt must be non-negative")
+        return float(self._rng(_JITTER_STREAM, (step, shard, attempt)).random())
+
+
+def _entry(kind: str) -> tuple[int, str, str]:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown fault kind {kind!r}; valid kinds: " + ", ".join(_KINDS)
+        ) from None
+
+
+def account(expected: list[tuple], events) -> tuple[list, list]:
+    """Diff the fault ``events`` a health log recorded against ``expected``.
+
+    ``expected`` holds ``(kind, *site)`` tuples, as
+    :func:`expected_fault_events` and :func:`expected_serving_faults`
+    enumerate them; each event is keyed by its kind and ``site``.
+    Returns ``(missing, extra)``: planned faults the log never recorded,
+    and recorded faults no plan entry explains (multiset semantics).
+    Both empty means the log fully accounts for the injection campaign.
+    """
+    seen = Counter((e.kind, *e.site) for e in events)
+    want = Counter(expected)
+    return sorted((want - seen).elements()), sorted((seen - want).elements())
+
+
+def expected_serving_faults(plan: FaultPlan, ticks: int) -> list[tuple[str, int]]:
     """Enumerate every serving fault the plan injects over ``ticks``.
 
     Directly comparable to the fault events a
@@ -362,8 +258,9 @@ def expected_fault_events(
     ``spans_by_step[s]`` is the ``(lo, hi)`` shard list of half-step ``s``
     (what :func:`repro.runtime.executor.partition_rows` produced).  Empty
     shards execute nothing and therefore inject nothing; a worker-kill
-    pre-empts the site's other faults.  The result is directly comparable
-    to :meth:`repro.resilience.health.RunHealth.account`.
+    pre-empts the site's other faults.  The result is what
+    :func:`account` diffs a :class:`~repro.resilience.health.RunHealth`
+    log against.
     """
     expected: list[tuple[str, int, int]] = []
     for step, spans in enumerate(spans_by_step):
@@ -395,13 +292,13 @@ def inject_shard_start(
     recorded here, in the executing process, and travel back to the
     parent in the shard outcome.
     """
-    if plan.fires("fault.worker-kill", step, shard, attempt):
+    if plan.fires("fault.worker-kill", step, shard, attempt=attempt):
         if forked:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies
         raise InjectedWorkerKill(
             f"injected worker kill at step {step} shard {shard}"
         )
-    if plan.fires("fault.delay", step, shard, attempt):
+    if plan.fires("fault.delay", step, shard, attempt=attempt):
         time.sleep(plan.delay_seconds)
         events.append(
             {
@@ -431,8 +328,8 @@ def solver_fault_hook(
     inputs stay intact, which is what makes the guard ladder's
     quarantine-and-re-solve rung able to repair the damage.
     """
-    nan_fires = plan.fires("fault.nan-flip", step, shard, attempt)
-    ovf_fires = plan.fires("fault.fp16-overflow", step, shard, attempt)
+    nan_fires = plan.fires("fault.nan-flip", step, shard, attempt=attempt)
+    ovf_fires = plan.fires("fault.fp16-overflow", step, shard, attempt=attempt)
     if not (nan_fires or ovf_fires):
         return None
 
@@ -441,7 +338,7 @@ def solver_fault_hook(
         if num < 1:
             return
         if nan_fires:
-            lane = plan.lane_for("fault.nan-flip", step, shard, num)
+            lane = plan.victim_lane("fault.nan-flip", step, shard, num_lanes=num)
             store[lane] = np.nan
             events.append(
                 {
@@ -453,7 +350,7 @@ def solver_fault_hook(
                 }
             )
         if ovf_fires:
-            lane = plan.lane_for("fault.fp16-overflow", step, shard, num)
+            lane = plan.victim_lane("fault.fp16-overflow", step, shard, num_lanes=num)
             store[lane] = np.inf
             store[lane, ::2] = -np.inf  # signed overflow, both directions
             events.append(

@@ -4,10 +4,11 @@ A supervised run is only trustworthy if its recoveries are *visible*:
 silently retrying a killed worker or silently re-solving a NaN lane turns
 a chaos experiment into wishful thinking.  ``RunHealth`` is therefore an
 append-only event log with plain-data events (JSON-ready, picklable), a
-per-kind counter view, and an accounting helper that diffs the log
-against the faults a :class:`~repro.resilience.faults.FaultPlan` is known
-to have injected — the VF108 check and the ``repro chaos`` CLI both gate
-on "every injected fault is accounted for".
+per-kind counter view, and the fault events that
+:func:`~repro.resilience.faults.account` diffs against the faults a
+:class:`~repro.resilience.faults.FaultPlan` is known to have injected —
+the VF108 check and the ``repro chaos`` CLI both gate on "every injected
+fault is accounted for".
 
 Event kinds used by the runtime and models:
 
@@ -64,6 +65,11 @@ class HealthEvent:
             raise ValueError("kind must be non-empty")
         if self.attempt < 0:
             raise ValueError("attempt must be non-negative")
+
+    @property
+    def site(self) -> tuple[int, int]:
+        """Where the event fired: the key :func:`~repro.resilience.faults.account` uses."""
+        return (self.step, self.shard)
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -124,19 +130,6 @@ class RunHealth:
     @property
     def faults_injected(self) -> int:
         return len(self.fault_events())
-
-    def account(self, expected: list[tuple[str, int, int]]) -> tuple[list, list]:
-        """Diff the log against ``expected`` ``(kind, step, shard)`` faults.
-
-        Returns ``(missing, extra)``: injected faults the log never
-        recorded, and recorded fault events no plan entry explains.  Both
-        empty means the log fully accounts for the injection campaign.
-        """
-        seen = Counter((e.kind, e.step, e.shard) for e in self.fault_events())
-        want = Counter(expected)
-        missing = sorted((want - seen).elements())
-        extra = sorted((seen - want).elements())
-        return missing, extra
 
     # -- serialization ------------------------------------------------------
 

@@ -8,7 +8,7 @@ serve-smoke job.  One invocation:
    first — a real file with a flipped byte, so the checksum layer is
    what catches it);
 2. replays a seeded request stream against a :class:`ServingEngine`
-   carrying a :class:`~repro.resilience.faults.ServingFaultPlan`
+   carrying a :class:`~repro.resilience.faults.FaultPlan`
    (backend stalls, hot reloads mid-traffic, corrupt-artifact reloads,
    NaN score lanes);
 3. audits the run against the ISSUE's acceptance bar:
@@ -29,6 +29,13 @@ The returned report is plain JSON-able data with an overall ``ok``
 flag, mirroring :func:`repro.resilience.chaos.run_chaos`, so CI can
 archive it and fail on ``ok == False``.
 
+The module is also the drill kit the other serving-plane harnesses
+share (:mod:`repro.streaming.drill`, VF109, VF111): the synthetic
+workload and its artifacts (:func:`synthetic_workload`,
+:func:`train_and_save`, :func:`corrupt_copy`), the seeded traffic loop
+(:func:`drive_stream`), the terminal map (:func:`terminals_of`) and the
+shared audit (:func:`audit_serving`).
+
 Imported lazily (by the CLI / tests) — it pulls in the trainers.
 """
 
@@ -45,11 +52,11 @@ from ..core.als import ALSModel
 from ..core.config import ALSConfig, CGConfig, Precision, SolverKind
 from ..data.sparse import RatingMatrix
 from ..persistence import save_model
-from ..resilience.faults import ServingFaultPlan, expected_serving_faults
+from ..resilience.faults import FaultPlan, account, expected_serving_faults
 from .batcher import MicroBatcher
 from .engine import ServingConfig, ServingEngine
 from .fleet import FleetConfig, FleetEngine
-from .health import DEGRADE_RUNGS, TERMINAL_KINDS
+from .health import DEGRADE_RUNGS, TERMINAL_KINDS, ServingHealth
 from .index import IndexConfig, recall_floor
 from .queue import Request
 
@@ -57,12 +64,21 @@ __all__ = [
     "AVAILABILITY_FLOOR",
     "DRILL_RATES",
     "FLEET_DRILL_RATES",
+    "audit_serving",
+    "corrupt_copy",
+    "drive_stream",
     "run_fleet_drill",
     "run_serving_drill",
+    "synthetic_workload",
+    "terminals_of",
+    "train_and_save",
 ]
 
 #: Availability floor from the ISSUE: (answered + degraded) / admitted.
 AVAILABILITY_FLOOR = 0.99
+
+#: Users, items and factors of the drills' synthetic workload.
+_M, _N, _F = 64, 48, 8
 
 #: Default injection rates for the chaos drill (per engine tick).
 DRILL_RATES = {
@@ -87,7 +103,7 @@ FLEET_DRILL_RATES = {
 }
 
 
-def _synthetic_workload(
+def synthetic_workload(
     seed: int, m: int, n: int, nnz: int
 ) -> tuple[RatingMatrix, np.ndarray]:
     """A tiny random rating matrix plus its per-item popularity counts."""
@@ -100,7 +116,8 @@ def _synthetic_workload(
     return matrix, popularity
 
 
-def _train_and_save(path: str, train: RatingMatrix, seed: int, f: int) -> None:
+def train_and_save(path: str, train: RatingMatrix, seed: int, f: int) -> None:
+    """Fit a small FP32 ALS model and save it as a persistence-v2 artifact."""
     cfg = ALSConfig(
         f=f,
         solver=SolverKind.CG,
@@ -113,7 +130,7 @@ def _train_and_save(path: str, train: RatingMatrix, seed: int, f: int) -> None:
     save_model(path, model)
 
 
-def _corrupt_copy(src: str, dst: str) -> None:
+def corrupt_copy(src: str, dst: str) -> None:
     """A byte-flipped copy of ``src`` — caught by checksum verification."""
     with open(src, "rb") as fh:
         blob = bytearray(fh.read())
@@ -122,21 +139,118 @@ def _corrupt_copy(src: str, dst: str) -> None:
         fh.write(bytes(blob))
 
 
-def _drive_stream(
-    engine: ServingEngine, seed: int, requests: int, num_users: int
+def drive_stream(
+    engine: ServingEngine,
+    rng: np.random.Generator,
+    requests: int,
+    num_users: int,
+    max_arrivals: int,
+    k_hi: int,
 ) -> None:
-    """Submit a seeded request stream, ticking the engine as traffic arrives."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    """Submit a seeded request stream, ticking the engine as traffic arrives.
+
+    Each tick admits ``0..max_arrivals`` requests for uniform users with
+    ``k`` in ``[1, k_hi)``; the engine is then drained.
+    """
     submitted = 0
     while submitted < requests:
-        arrivals = min(int(rng.integers(0, 3)), requests - submitted)
+        arrivals = min(int(rng.integers(0, max_arrivals + 1)), requests - submitted)
         for _ in range(arrivals):
-            engine.submit(
-                int(rng.integers(0, num_users)), int(rng.integers(1, 9))
-            )
+            engine.submit(int(rng.integers(0, num_users)), int(rng.integers(1, k_hi)))
             submitted += 1
         engine.tick()
     engine.run_until_drained()
+
+
+def terminals_of(engine: ServingEngine) -> dict[int, str]:
+    """request_id → terminal kind (the audit guarantees uniqueness)."""
+    return {
+        e.request_id: e.kind
+        for e in engine.health.events
+        if e.kind in TERMINAL_KINDS
+    }
+
+
+def audit_serving(
+    health: ServingHealth, plan: FaultPlan | None, ticks: int
+) -> tuple[dict, dict]:
+    """The audit every serving-plane drill runs; ``(report fields, checks)``.
+
+    Request accounting, fault accounting against ``plan`` over
+    ``ticks`` (a fault-free run expects none), availability against
+    :data:`AVAILABILITY_FLOOR`, and rung attribution of every degraded
+    response.
+    """
+    violations = health.audit()
+    expected = expected_serving_faults(plan, ticks) if plan is not None else []
+    missing, extra = account(expected, health.fault_events())
+    availability = health.availability()
+    rungs = dict(
+        Counter(e.rung for e in health.events if e.kind == "request.degraded")
+    )
+    fields = {
+        "fault_plan": plan.as_dict() if plan is not None else None,
+        "expected_faults": len(expected),
+        "expected_by_kind": dict(Counter(kind for kind, _ in expected)),
+        "missing_faults": [list(site) for site in missing],
+        "unexpected_faults": [list(site) for site in extra],
+        "accounting_violations": violations,
+        "availability": float(availability),
+        "availability_floor": AVAILABILITY_FLOOR,
+        "degraded_by_rung": rungs,
+    }
+    checks = {
+        "accounting_balanced": not violations,
+        "faults_accounted": not missing and not extra,
+        "faults_injected": len(expected) > 0 if plan is not None else True,
+        "availability_met": bool(availability >= AVAILABILITY_FLOOR),
+        "degraded_attributed": all(r in DEGRADE_RUNGS for r in rungs),
+    }
+    return fields, checks
+
+
+def _drill_artifacts(workdir: str, seed: int) -> tuple[np.ndarray, str, str, str]:
+    """The serve and fleet drills' workload: popularity, models A and B,
+    and a corrupt copy of A (a real file with a flipped byte, so the
+    checksum layer is what catches it)."""
+    train, popularity = synthetic_workload(seed, m=_M, n=_N, nnz=1200)
+    model_a, model_b, corrupt = (
+        os.path.join(workdir, f"model-{tag}.npz") for tag in ("a", "b", "corrupt")
+    )
+    train_and_save(model_a, train, seed, _F)
+    train_and_save(model_b, train, seed + 1, _F)
+    corrupt_copy(model_a, corrupt)
+    return popularity, model_a, model_b, corrupt
+
+
+def _drill_engine(
+    cls, artifacts: tuple, seed: int, *, index: bool, nprobe: int | None, **kwargs
+):
+    """An engine of type ``cls`` serving model A, with model B and the
+    corrupt copy as its chaos reload targets."""
+    popularity, model_a, model_b, corrupt = artifacts
+    engine = cls(
+        model_a,
+        config=ServingConfig(queue_capacity=32, max_batch=8, budget_ticks=10),
+        popularity=popularity,
+        index_config=IndexConfig(seed=seed) if index else None,
+        nprobe=nprobe,
+        **kwargs,
+    )
+    engine.chaos_reload_path = model_b
+    engine.chaos_corrupt_path = corrupt
+    if index and nprobe is None:
+        # ceil(ncells/2): the smallest probe fraction with a
+        # non-vacuous calibrated floor — sqrt-sized quantizers on a
+        # 48-item catalogue make the derived default probe 1 cell.
+        engine.nprobe = -(-engine.store.index.ncells // 2)
+    return engine
+
+
+def _drive(engine: ServingEngine, seed: int, requests: int) -> None:
+    """The serve and fleet drills' request stream (seeded per drill seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    drive_stream(engine, rng, requests, _M, max_arrivals=2, k_hi=9)
 
 
 def _probe_recall(engine: ServingEngine, k: int) -> float:
@@ -209,33 +323,16 @@ def run_serving_drill(
                 workdir=tmp,
             )
 
-    m, n, f = 64, 48, 8
-    train, popularity = _synthetic_workload(seed, m=m, n=n, nnz=1200)
-    model_a = os.path.join(workdir, "model-a.npz")
-    model_b = os.path.join(workdir, "model-b.npz")
-    corrupt = os.path.join(workdir, "model-corrupt.npz")
-    _train_and_save(model_a, train, seed, f)
-    _train_and_save(model_b, train, seed + 1, f)
-    _corrupt_copy(model_a, corrupt)
-
-    plan = ServingFaultPlan(seed=seed, **DRILL_RATES) if chaos else None
-    engine = ServingEngine(
-        model_a,
-        config=ServingConfig(queue_capacity=32, max_batch=8, budget_ticks=10),
-        popularity=popularity,
-        faults=plan,
-        index_config=IndexConfig(seed=seed) if index else None,
+    plan = FaultPlan(seed=seed, **DRILL_RATES) if chaos else None
+    engine = _drill_engine(
+        ServingEngine,
+        _drill_artifacts(workdir, seed),
+        seed,
+        index=index,
         nprobe=nprobe,
+        faults=plan,
     )
-    engine.chaos_reload_path = model_b
-    engine.chaos_corrupt_path = corrupt
-    if index and nprobe is None:
-        # ceil(ncells/2): the smallest probe fraction with a
-        # non-vacuous calibrated floor — sqrt-sized quantizers on a
-        # 48-item catalogue make the derived default probe 1 cell.
-        engine.nprobe = -(-engine.store.index.ncells // 2)
-
-    _drive_stream(engine, seed, requests, num_users=m)
+    _drive(engine, seed, requests)
     ticks = engine.tick_now
 
     # No-op hot reload must be score-bit-equivalent.
@@ -281,29 +378,8 @@ def run_serving_drill(
             engine.tick()
         engine.run_until_drained()
 
-    health = engine.health
-    violations = health.audit()
-    if chaos:
-        expected = expected_serving_faults(plan, ticks)
-        missing, extra = health.account_faults(expected)
-    else:
-        expected, missing, extra = [], [], []
-    availability = health.availability()
-    counts = health.counts()
-    rungs = dict(
-        Counter(
-            e.rung for e in health.events if e.kind == "request.degraded"
-        )
-    )
-
-    checks = {
-        "accounting_balanced": not violations,
-        "faults_accounted": not missing and not extra,
-        "availability_met": bool(availability >= AVAILABILITY_FLOOR),
-        "degraded_attributed": all(r in DEGRADE_RUNGS for r in rungs),
-        "noop_reload": bool(noop.status == "noop" and noop_bit_equal),
-        "faults_injected": (len(expected) > 0) if chaos else True,
-    }
+    fields, checks = audit_serving(engine.health, plan, ticks)
+    checks["noop_reload"] = bool(noop.status == "noop" and noop_bit_equal)
     if index:
         checks["index_built"] = engine.store.index_builds >= 1
         checks["recall_met"] = bool(
@@ -311,39 +387,23 @@ def run_serving_drill(
         )
         if chaos:
             checks["brute_force_rung"] = (
-                rungs.get("brute-force", 0) >= brute_exercised
+                fields["degraded_by_rung"].get("brute-force", 0) >= brute_exercised
             )
     report = {
         "mode": "chaos" if chaos else "smoke",
         "seed": seed,
         "requests": requests,
         "ticks": ticks,
-        "fault_plan": plan.as_dict() if plan is not None else None,
-        "expected_faults": len(expected),
-        "missing_faults": [list(site) for site in missing],
-        "unexpected_faults": [list(site) for site in extra],
-        "accounting_violations": violations,
-        "availability": float(availability),
-        "availability_floor": AVAILABILITY_FLOOR,
-        "degraded_by_rung": rungs,
+        **fields,
         "noop_reload": {"status": noop.status, "bit_equal": noop_bit_equal},
         "retrieval": retrieval if retrieval is not None else {"enabled": False},
-        "event_counts": counts,
+        "event_counts": engine.health.counts(),
         "engine": engine.stats(),
         "checks": checks,
-        "health": health.as_dict(),
+        "health": engine.health.as_dict(),
     }
     report["ok"] = bool(all(checks.values()))
     return report
-
-
-def _terminals_of(engine: ServingEngine) -> dict[int, str]:
-    """request_id → terminal kind (the audit guarantees uniqueness)."""
-    return {
-        e.request_id: e.kind
-        for e in engine.health.events
-        if e.kind in TERMINAL_KINDS
-    }
 
 
 def _latency_stats(engine: ServingEngine) -> dict:
@@ -427,50 +487,26 @@ def run_fleet_drill(
                 workdir=tmp,
             )
 
-    m, n, f = 64, 48, 8
-    train, popularity = _synthetic_workload(seed, m=m, n=n, nnz=1200)
-    model_a = os.path.join(workdir, "model-a.npz")
-    model_b = os.path.join(workdir, "model-b.npz")
-    corrupt = os.path.join(workdir, "model-corrupt.npz")
-    _train_and_save(model_a, train, seed, f)
-    _train_and_save(model_b, train, seed + 1, f)
-    _corrupt_copy(model_a, corrupt)
+    artifacts = _drill_artifacts(workdir, seed)
 
-    config = ServingConfig(queue_capacity=32, max_batch=8, budget_ticks=10)
-    index_config = IndexConfig(seed=seed) if index else None
-
-    def make_engine(cls, *, faults=None, fleet=None):
-        kwargs = dict(
-            config=config,
-            popularity=popularity,
-            faults=faults,
-            index_config=index_config,
-            nprobe=nprobe,
-        )
-        if fleet is not None:
-            kwargs["fleet"] = fleet
-        engine = cls(model_a, **kwargs)
-        engine.chaos_reload_path = model_b
-        engine.chaos_corrupt_path = corrupt
-        if index and nprobe is None:
-            engine.nprobe = -(-engine.store.index.ncells // 2)
-        return engine
+    def make_engine(cls, **kwargs):
+        return _drill_engine(cls, artifacts, seed, index=index, nprobe=nprobe, **kwargs)
 
     # -- leg 1: fault-free read-equivalence, fleet(1) vs single ------------
     single = make_engine(ServingEngine)
-    _drive_stream(single, seed, requests, num_users=m)
+    _drive(single, seed, requests)
     fleet_one = make_engine(
         FleetEngine,
         fleet=FleetConfig(workers=1, heartbeat_timeout=0.05),
     )
     try:
-        _drive_stream(fleet_one, seed, requests, num_users=m)
+        _drive(fleet_one, seed, requests)
         ids_match = set(single.results) == set(fleet_one.results)
         bit_identical = ids_match and all(
             single.results[rid] == fleet_one.results[rid]
             for rid in single.results
         )
-        terminals_match = _terminals_of(single) == _terminals_of(fleet_one)
+        terminals_match = terminals_of(single) == terminals_of(fleet_one)
         equiv_audits = single.health.audit() + fleet_one.health.audit()
     finally:
         fleet_one.close()
@@ -483,7 +519,7 @@ def run_fleet_drill(
     }
 
     # -- leg 2: the fleet under chaos (or fault-free smoke) ----------------
-    plan = ServingFaultPlan(seed=seed, **FLEET_DRILL_RATES) if chaos else None
+    plan = FaultPlan(seed=seed, **FLEET_DRILL_RATES) if chaos else None
     fleet_cfg = FleetConfig(
         workers=workers,
         heartbeat_timeout=0.05,
@@ -494,25 +530,15 @@ def run_fleet_drill(
     fleet = make_engine(FleetEngine, faults=plan, fleet=fleet_cfg)
     try:
         t0 = time.perf_counter()
-        _drive_stream(fleet, seed, requests, num_users=m)
+        _drive(fleet, seed, requests)
         elapsed = time.perf_counter() - t0
         ticks = fleet.tick_now
-        health = fleet.health
-        violations = health.audit()
-        if chaos:
-            expected = expected_serving_faults(plan, ticks)
-            missing, extra = health.account_faults(expected)
-        else:
-            expected, missing, extra = [], [], []
         stats = fleet.stats()
     finally:
         fleet.close()
-    expected_by_kind = Counter(kind for kind, _ in expected)
-    availability = health.availability()
+    health = fleet.health
+    fields, audit_checks = audit_serving(health, plan, ticks)
     counts = health.counts()
-    rungs = dict(
-        Counter(e.rung for e in health.events if e.kind == "request.degraded")
-    )
     latency = _latency_stats(fleet)
     admitted = counts.get("request.admitted", 0)
     deadline_misses = sum(
@@ -532,14 +558,12 @@ def run_fleet_drill(
         **latency,
     }
 
+    expected_by_kind = fields["expected_by_kind"]
     checks = {
         "equivalence_bit_identical": equivalence["bit_identical"],
         "equivalence_terminals_match": equivalence["terminals_match"],
         "equivalence_accounting": not equivalence["audit_violations"],
-        "accounting_balanced": not violations,
-        "faults_accounted": not missing and not extra,
-        "availability_met": bool(availability >= AVAILABILITY_FLOOR),
-        "degraded_attributed": all(r in DEGRADE_RUNGS for r in rungs),
+        **audit_checks,
         "deadline_misses_bounded": throughput["deadline_miss_rate"] <= 0.05,
     }
     if chaos:
@@ -563,15 +587,7 @@ def run_fleet_drill(
         "requests": requests,
         "workers": workers,
         "ticks": ticks,
-        "fault_plan": plan.as_dict() if plan is not None else None,
-        "expected_faults": len(expected),
-        "expected_by_kind": dict(expected_by_kind),
-        "missing_faults": [list(site) for site in missing],
-        "unexpected_faults": [list(site) for site in extra],
-        "accounting_violations": violations,
-        "availability": float(availability),
-        "availability_floor": AVAILABILITY_FLOOR,
-        "degraded_by_rung": rungs,
+        **fields,
         "rerouted": counts.get("request.rerouted", 0),
         "equivalence": equivalence,
         "throughput": throughput,

@@ -24,7 +24,7 @@ Ties the serving subsystem together around a virtual tick clock:
 * **observability** — every request's life is recorded in the
   :class:`~repro.serving.health.ServingHealth` log, whose multiset
   audit proves no request was lost; chaos injections from a
-  :class:`~repro.resilience.faults.ServingFaultPlan` land here via
+  :class:`~repro.resilience.faults.FaultPlan` land here via
   :meth:`_apply_chaos` and are accounted tick-exactly.
 
 Everything is deterministic: no wall clock, no global RNG — the same
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..resilience.faults import ServingFaultPlan
+from ..resilience.faults import FaultPlan
 from ..runtime.arena import Workspace
 from .batcher import MicroBatcher
 from .breaker import BreakerConfig, CircuitBreaker
@@ -102,7 +102,7 @@ class ServingEngine:
         *,
         config: ServingConfig | None = None,
         popularity: np.ndarray | None = None,
-        faults: ServingFaultPlan | None = None,
+        faults: FaultPlan | None = None,
         workspace: Workspace | None = None,
         index_config: IndexConfig | None = None,
         nprobe: int | None = None,
@@ -266,7 +266,7 @@ class ServingEngine:
         poison_row = None
         if self._nan_pending and self.faults is not None:
             poison_row = self.faults.victim_lane(
-                "fault.score-nan", tick, len(ready)
+                "fault.score-nan", tick, num_lanes=len(ready)
             )
         # Index routing: a *current* index serves the probed sublinear
         # path as full top-k.  An enabled-but-missing/stale index (e.g.

@@ -42,7 +42,7 @@ own policy on top:
   way the accounting contract is unchanged.
 
 Chaos: the three fleet-scoped
-:class:`~repro.resilience.faults.ServingFaultPlan` kinds land in
+:class:`~repro.resilience.faults.FaultPlan` kinds land in
 :meth:`FleetEngine._on_fleet_fault` — ``fault.fleet-worker-kill``
 SIGKILLs the victim mid-batch (or point-blank when idle),
 ``fault.fleet-worker-reload`` rolling-restarts one worker under
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..resilience.faults import ServingFaultPlan
+from ..resilience.faults import FaultPlan
 from ..runtime import supervisor
 from ..runtime.arena import Workspace
 from .batcher import MicroBatcher
@@ -188,7 +188,7 @@ class FleetEngine(ServingEngine):
         fleet: FleetConfig | None = None,
         config: ServingConfig | None = None,
         popularity: np.ndarray | None = None,
-        faults: ServingFaultPlan | None = None,
+        faults: FaultPlan | None = None,
         workspace: Workspace | None = None,
         index_config: IndexConfig | None = None,
         nprobe: int | None = None,
@@ -413,7 +413,7 @@ class FleetEngine(ServingEngine):
         poison_row = None
         if self._nan_pending and self.faults is not None:
             poison_row = self.faults.victim_lane(
-                "fault.score-nan", tick, len(ready)
+                "fault.score-nan", tick, num_lanes=len(ready)
             )
         index = None
         brute_fallback = False
@@ -629,7 +629,7 @@ class FleetEngine(ServingEngine):
         """Make the fleet-scoped injections hurt an actual worker."""
         if not self._pool_active() or self.faults is None:
             return  # recorded already; nothing to break
-        wid = self.faults.victim_lane(kind, tick, self.fleet.workers)
+        wid = self.faults.victim_lane(kind, tick, num_lanes=self.fleet.workers)
         if kind == "fault.fleet-worker-kill":
             # Deferred to dispatch: a victim holding a batch is killed
             # mid-batch (the acceptance-criterion scenario); an idle

@@ -7,8 +7,8 @@ with plain-data events, a per-kind counter view, and a multiset
 :meth:`audit` that enforces the accounting contract the ISSUE states —
 **every admitted request is exactly one of answered / degraded / shed /
 faulted**, every degraded response names its ladder rung, and every
-fault a :class:`~repro.resilience.faults.ServingFaultPlan` injected
-appears in the log (:meth:`account_faults`).
+fault a :class:`~repro.resilience.faults.FaultPlan` injected
+appears in the log (:func:`~repro.resilience.faults.account`).
 
 Event kinds used by the serving engine:
 
@@ -150,6 +150,11 @@ class ServingEvent:
             raise ValueError(
                 f"degraded event must name a ladder rung, got {self.rung!r}"
             )
+
+    @property
+    def site(self) -> tuple[int]:
+        """Where the event fired: the key :func:`~repro.resilience.faults.account` uses."""
+        return (self.tick,)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -343,21 +348,6 @@ class ServingHealth:
                         f"seq {seq} (acked tick {ack.tick}) was unapplied"
                     )
         return violations
-
-    def account_faults(
-        self, expected: list[tuple[str, int]]
-    ) -> tuple[list, list]:
-        """Diff the log against ``expected`` ``(kind, tick)`` injections.
-
-        Returns ``(missing, extra)`` exactly like
-        :meth:`repro.resilience.health.RunHealth.account`; both empty
-        means every injected serving fault is accounted for.
-        """
-        seen = Counter((e.kind, e.tick) for e in self.fault_events())
-        want = Counter(expected)
-        missing = sorted((want - seen).elements())
-        extra = sorted((seen - want).elements())
-        return missing, extra
 
     # -- serialization ------------------------------------------------------
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..persistence import load_factors
+from ..streaming.delta import state_digest
 from .health import ServingHealth
 from .index import IndexConfig, ItemIndex, build_index
 
@@ -55,13 +56,6 @@ class ReloadOutcome:
     def __post_init__(self) -> None:
         if self.status not in ("swapped", "noop", "rolled-back", "delta-applied"):
             raise ValueError(f"unknown reload status {self.status!r}")
-
-
-def _factor_digest(x: np.ndarray, theta: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(x, dtype=np.float32))
-    h.update(np.ascontiguousarray(theta, dtype=np.float32))
-    return h.hexdigest()
 
 
 class ModelStore:
@@ -148,7 +142,7 @@ class ModelStore:
             self._record(health, "reload.rolled-back", tick, str(exc))
             return outcome
 
-        digest = _factor_digest(x, theta)
+        digest = state_digest(x, theta)
         if self._x is not None and digest == self.digest:
             # Bit-identical artifact: keep the installed arrays untouched
             # so post-reload scoring is trivially bit-equivalent.  The

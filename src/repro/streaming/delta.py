@@ -72,9 +72,9 @@ class DeltaError(CheckpointError):
 def state_digest(x: np.ndarray, theta: np.ndarray) -> str:
     """SHA-256 over both factor matrices' float32 bytes.
 
-    Byte-compatible with the serving side's content digest
-    (:mod:`repro.serving.reload`), so a digest computed here names the
-    same state everywhere.
+    The serving side's content digest too (:mod:`repro.serving.reload`
+    imports it), so a digest computed here names the same state
+    everywhere.
     """
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(x, dtype=np.float32))

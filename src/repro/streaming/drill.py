@@ -19,7 +19,8 @@ ingest-smoke job.  One invocation runs two legs:
    plan fires torn WAL writes, poisoned fold-in lanes, and forced
    delta applies mid-traffic.  Gates: the health accounting balances,
    every planned fault is accounted tick-exactly, availability stays
-   ≥ :data:`~repro.serving.drill.AVAILABILITY_FLOOR`, the
+   ≥ :data:`~repro.serving.drill.AVAILABILITY_FLOOR` (the shared
+   :func:`~repro.serving.drill.audit_serving`), the
    read-your-writes audit holds (every acked rating is folded in
    before its user's next freshly scored answer), rows outside the
    dirty sets are **bit-identical** to the pre-stream factors, and the
@@ -38,8 +39,8 @@ import tempfile
 
 import numpy as np
 
-from ..resilience.faults import ServingFaultPlan, expected_serving_faults
-from ..serving.drill import AVAILABILITY_FLOOR, _synthetic_workload, _train_and_save
+from ..resilience.faults import FaultPlan
+from ..serving.drill import audit_serving, synthetic_workload, train_and_save
 from ..serving.engine import ServingConfig, ServingEngine
 from ..serving.index import IndexConfig
 from .ingest import IngestConfig, IngestEngine
@@ -163,13 +164,13 @@ def run_ingest_drill(
             return run_ingest_drill(seed, events=events, chaos=chaos, workdir=tmp)
 
     m, n, f = 64, 48, 8
-    train, popularity = _synthetic_workload(seed, m=m, n=n, nnz=1200)
+    train, popularity = synthetic_workload(seed, m=m, n=n, nnz=1200)
     model_path = os.path.join(workdir, "model.npz")
-    _train_and_save(model_path, train, seed, f)
+    train_and_save(model_path, train, seed, f)
 
     ingest_cfg = IngestConfig(shards=4, compact_every=3, segment_records=64)
 
-    plan = ServingFaultPlan(seed=seed, **INGEST_DRILL_RATES) if chaos else None
+    plan = FaultPlan(seed=seed, **INGEST_DRILL_RATES) if chaos else None
     engine = ServingEngine(
         model_path,
         config=ServingConfig(queue_capacity=32, max_batch=8, budget_ticks=10),
@@ -250,15 +251,8 @@ def run_ingest_drill(
     engine.run_until_drained()
     ticks = engine.tick_now
 
-    health = engine.health
-    violations = health.audit()
-    ryw_violations = health.read_your_writes_audit()
-    if chaos:
-        expected = expected_serving_faults(plan, ticks)
-        missing, extra = health.account_faults(expected)
-    else:
-        expected, missing, extra = [], [], []
-    availability = health.availability()
+    fields, audit_checks = audit_serving(engine.health, plan, ticks)
+    ryw_violations = engine.health.read_your_writes_audit()
 
     clean_users = np.setdiff1d(
         np.arange(m), np.fromiter(ingest.solved_users, dtype=np.int64, count=len(ingest.solved_users))
@@ -280,11 +274,8 @@ def run_ingest_drill(
         "replay_resume_verified": replay["resume_verified"],
         "replay_compaction_crossed": replay["compaction_crossed"],
         "replay_torn_tail_repaired": replay["torn_tail_repaired"],
-        "accounting_balanced": not violations,
-        "faults_accounted": not missing and not extra,
-        "faults_injected": (len(expected) > 0) if chaos else True,
+        **audit_checks,
         "read_your_writes": not ryw_violations,
-        "availability_met": bool(availability >= AVAILABILITY_FLOOR),
         "clean_rows_bit_identical": clean_rows_identical,
         "serving_matches_ingest": serving_matches_ingest,
         "deltas_published": store.deltas_applied >= 1,
@@ -300,19 +291,14 @@ def run_ingest_drill(
         "streamed": streamed,
         "requests": submitted,
         "ticks": ticks,
-        "fault_plan": plan.as_dict() if plan is not None else None,
-        "expected_faults": len(expected),
-        "missing_faults": [list(site) for site in missing],
-        "unexpected_faults": [list(site) for site in extra],
-        "accounting_violations": violations,
+        **fields,
         "read_your_writes_violations": ryw_violations,
-        "availability": float(availability),
-        "availability_floor": AVAILABILITY_FLOOR,
         "kill_replay": replay,
         "ingest": ingest.stats(),
         "engine": engine.stats(),
         "deltas_published": store.deltas_applied,
         "checks": checks,
+        "health": engine.health.as_dict(),
     }
     report["ok"] = bool(all(checks.values()))
     ingest.close()

@@ -273,10 +273,6 @@ class IngestEngine:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def pending_users(self) -> set[int]:
-        """Users with acked-but-unapplied ratings (read-your-writes set)."""
-        return {u for _seq, u, _v, _r in self._pending}
-
     def ingest(
         self,
         user: int,

@@ -357,10 +357,6 @@ class RatingsWAL:
             records.extend(segment)
         return records
 
-    def records_after(self, seq: int) -> list[WalRecord]:
-        """Durable records with sequence strictly greater than ``seq``."""
-        return [r for r in self.replay() if r.seq > seq]
-
     # -- retention ----------------------------------------------------------
 
     def truncate_through(self, seq: int) -> list[str]:

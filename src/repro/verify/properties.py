@@ -103,18 +103,18 @@ from ..core.config import ALSConfig, SolverKind
 from ..data.synthetic import SyntheticConfig, generate_ratings
 from ..metrics.rmse import rmse
 from ..persistence import save_model
+from ..resilience.chaos import fit_supervised
 from ..resilience.faults import (
     FaultPlan,
-    ServingFaultPlan,
+    account,
     expected_fault_events,
     expected_serving_faults,
 )
-from ..resilience.guards import GuardPolicy
-from ..resilience.health import RunHealth
 from ..runtime import executor as executor_module
 from ..runtime.executor import ShardExecutor
-from ..runtime.plan import ORACLE_PLAN, RuntimePlan, SupervisionPolicy
+from ..runtime.plan import ORACLE_PLAN, RuntimePlan
 from ..serving.batcher import MicroBatcher
+from ..serving.drill import corrupt_copy, drive_stream, terminals_of
 from ..serving.engine import ServingConfig, ServingEngine
 from ..serving.fleet import FleetConfig, FleetEngine
 from ..serving.health import TERMINAL_KINDS
@@ -607,13 +607,6 @@ _EPS16 = 2.0**-10
 
 def _fit_resilience(case: ResilienceCase, train, faults) -> tuple:
     """One (optionally fault-injected) supervised training run."""
-    executor = ShardExecutor(
-        RuntimePlan(shards=case.shards, workers=case.workers),
-        supervision=SupervisionPolicy(backoff_seconds=0.001, shard_deadline=60.0),
-        faults=faults,
-        guard=GuardPolicy(),
-        health=RunHealth(),
-    )
     cfg = ALSConfig(
         f=case.f,
         lam=case.lam,
@@ -622,12 +615,33 @@ def _fit_resilience(case: ResilienceCase, train, faults) -> tuple:
         cg=CGConfig(max_iters=case.fs, tol=1e-4),
         seed=case.seed,
     )
-    model = ALSModel(cfg, runtime=executor)
-    try:
-        model.fit(train, epochs=case.epochs)
-    finally:
-        executor.close()
-    return model, executor
+    return fit_supervised(
+        cfg,
+        train,
+        shards=case.shards,
+        workers=case.workers,
+        faults=faults,
+        epochs=case.epochs,
+    )
+
+
+def _plan_mismatch(rule: str, subject: str, expected: list, events) -> list[Diagnostic]:
+    """The finding for a health log whose fault events miss the plan."""
+    missing, extra = account(expected, events)
+    if not (missing or extra):
+        return []
+    return [
+        _violation(
+            rule,
+            subject,
+            f"health log does not match the fault plan: "
+            f"{len(missing)} planned fault(s) unreported {missing[:4]}, "
+            f"{len(extra)} unplanned fault event(s) {extra[:4]}",
+            missing=float(len(missing)),
+            extra=float(len(extra)),
+            expected=float(len(expected)),
+        )
+    ]
 
 
 def check_resilience_recovery(case: ResilienceCase) -> list[Diagnostic]:
@@ -639,7 +653,7 @@ def check_resilience_recovery(case: ResilienceCase) -> list[Diagnostic]:
     1. the supervised run terminates (reaching this code is the proof —
        retries are bounded and faults fire only on attempt 0);
     2. the health log accounts for every planned fault exactly
-       (:func:`expected_fault_events` vs :meth:`RunHealth.account`);
+       (:func:`expected_fault_events` vs :func:`account`);
     3. the final factors are finite (guard ladder never lets NaN
        escape);
     4. the recovered objective matches the fault-free run.  At FP32 the
@@ -674,22 +688,12 @@ def check_resilience_recovery(case: ResilienceCase) -> list[Diagnostic]:
     chaos_model, executor = _fit_resilience(case, train, faults)
     clean_model, _ = _fit_resilience(case, train, None)
 
-    findings: list[Diagnostic] = []
-    expected = expected_fault_events(faults, executor.spans_log)
-    missing, extra = executor.health.account(expected)
-    if missing or extra:
-        findings.append(
-            _violation(
-                VF108,
-                "resilience.recovery[accounting]",
-                f"health log does not match the fault plan: "
-                f"{len(missing)} planned fault(s) unreported {missing[:4]}, "
-                f"{len(extra)} unplanned fault event(s) {extra[:4]}",
-                missing=float(len(missing)),
-                extra=float(len(extra)),
-                expected=float(len(expected)),
-            )
-        )
+    findings = _plan_mismatch(
+        VF108,
+        "resilience.recovery[accounting]",
+        expected_fault_events(faults, executor.spans_log),
+        executor.health.fault_events(),
+    )
     if not (
         np.isfinite(chaos_model.x_).all() and np.isfinite(chaos_model.theta_).all()
     ):
@@ -759,19 +763,28 @@ def _save_serving_artifacts(
         save_model(path, model)
         paths.append(path)
     corrupt = os.path.join(workdir, "model-corrupt.npz")
-    with open(paths[0], "rb") as fh:
-        blob = bytearray(fh.read())
-    blob[len(blob) // 2] ^= 0xFF
-    with open(corrupt, "wb") as fh:
-        fh.write(bytes(blob))
+    corrupt_copy(paths[0], corrupt)
     return paths[0], paths[1], corrupt
+
+
+def _drive_case_traffic(engine: ServingEngine, case: ServingCase | FleetCase) -> None:
+    """The seeded stream VF109 and both VF111 legs replay."""
+    traffic = np.random.default_rng(np.random.SeedSequence([case.seed, 5]))
+    drive_stream(
+        engine,
+        traffic,
+        case.requests,
+        case.m,
+        max_arrivals=case.max_arrivals,
+        k_hi=max(2, min(case.n, 10)),
+    )
 
 
 def check_serving_availability(case: ServingCase) -> list[Diagnostic]:
     """VF109: no request lost, every fault accounted, the ladder holds.
 
     Replays a seeded traffic stream against a :class:`ServingEngine`
-    carrying the case's :class:`ServingFaultPlan` and asserts the
+    carrying the case's :class:`FaultPlan` and asserts the
     serving contract:
 
     1. the :class:`ServingHealth` multiset accounting balances — every
@@ -791,7 +804,7 @@ def check_serving_availability(case: ServingCase) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     with tempfile.TemporaryDirectory() as workdir:
         model_a, model_b, corrupt = _save_serving_artifacts(case, workdir)
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=case.seed,
             stall_rate=case.stall_rate,
             reload_rate=case.reload_rate,
@@ -810,22 +823,7 @@ def check_serving_availability(case: ServingCase) -> list[Diagnostic]:
         engine.chaos_reload_path = model_b
         engine.chaos_corrupt_path = corrupt
 
-        traffic = np.random.default_rng(np.random.SeedSequence([case.seed, 5]))
-        k_hi = max(2, min(case.n, 10))
-        submitted = 0
-        while submitted < case.requests:
-            arrivals = min(
-                int(traffic.integers(0, case.max_arrivals + 1)),
-                case.requests - submitted,
-            )
-            for _ in range(arrivals):
-                engine.submit(
-                    int(traffic.integers(0, case.m)),
-                    int(traffic.integers(1, k_hi)),
-                )
-                submitted += 1
-            engine.tick()
-        engine.run_until_drained()
+        _drive_case_traffic(engine, case)
         ticks = engine.tick_now
 
         before = engine.probe_scores(0)
@@ -843,21 +841,12 @@ def check_serving_availability(case: ServingCase) -> list[Diagnostic]:
                 violations=float(len(violations)),
             )
         )
-    expected = expected_serving_faults(plan, ticks)
-    missing, extra = health.account_faults(expected)
-    if missing or extra:
-        findings.append(
-            _violation(
-                VF109,
-                "serving.availability[faults]",
-                f"health log does not match the fault plan: "
-                f"{len(missing)} planned fault(s) unreported {missing[:4]}, "
-                f"{len(extra)} unplanned fault event(s) {extra[:4]}",
-                missing=float(len(missing)),
-                extra=float(len(extra)),
-                expected=float(len(expected)),
-            )
-        )
+    findings += _plan_mismatch(
+        VF109,
+        "serving.availability[faults]",
+        expected_serving_faults(plan, ticks),
+        health.fault_events(),
+    )
     counts = health.counts()
     faulted = counts.get("request.faulted", 0)
     if faulted:
@@ -893,35 +882,6 @@ def check_serving_availability(case: ServingCase) -> list[Diagnostic]:
     return findings
 
 
-def _fleet_terminals(engine: ServingEngine) -> dict[int, str]:
-    """request_id → terminal kind (exactly one per request when balanced)."""
-    return {
-        e.request_id: e.kind
-        for e in engine.health.events
-        if e.kind in TERMINAL_KINDS
-    }
-
-
-def _drive_fleet_traffic(engine: ServingEngine, case: FleetCase) -> None:
-    """The seeded stream both VF111 legs replay (same derivation as VF109)."""
-    traffic = np.random.default_rng(np.random.SeedSequence([case.seed, 5]))
-    k_hi = max(2, min(case.n, 10))
-    submitted = 0
-    while submitted < case.requests:
-        arrivals = min(
-            int(traffic.integers(0, case.max_arrivals + 1)),
-            case.requests - submitted,
-        )
-        for _ in range(arrivals):
-            engine.submit(
-                int(traffic.integers(0, case.m)),
-                int(traffic.integers(1, k_hi)),
-            )
-            submitted += 1
-        engine.tick()
-    engine.run_until_drained()
-
-
 def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
     """VF111: the fleet never loses a request, and one worker is exact.
 
@@ -953,7 +913,7 @@ def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
         max_batch=case.max_batch,
         budget_ticks=case.budget_ticks,
     )
-    plan = ServingFaultPlan(
+    plan = FaultPlan(
         seed=case.seed,
         worker_kill_rate=case.worker_kill_rate,
         worker_reload_rate=case.worker_reload_rate,
@@ -963,7 +923,7 @@ def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
     with tempfile.TemporaryDirectory() as workdir:
         model_a, model_b, corrupt = _save_serving_artifacts(case, workdir)
 
-        def fleet_engine(*, workers: int, faults: ServingFaultPlan | None):
+        def fleet_engine(*, workers: int, faults: FaultPlan | None):
             engine = FleetEngine(
                 model_a,
                 config=config,
@@ -981,18 +941,16 @@ def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
 
         # -- leg 1: one fault-free worker vs the in-process engine ------
         single = ServingEngine(model_a, config=config)
-        _drive_fleet_traffic(single, case)
+        _drive_case_traffic(single, case)
         fleet_one = fleet_engine(workers=1, faults=None)
         try:
-            _drive_fleet_traffic(fleet_one, case)
+            _drive_case_traffic(fleet_one, case)
             ids_match = set(single.results) == set(fleet_one.results)
             bit_identical = ids_match and all(
                 single.results[rid] == fleet_one.results[rid]
                 for rid in single.results
             )
-            terminals_match = _fleet_terminals(single) == _fleet_terminals(
-                fleet_one
-            )
+            terminals_match = terminals_of(single) == terminals_of(fleet_one)
         finally:
             fleet_one.close()
         if not bit_identical or not terminals_match:
@@ -1014,11 +972,11 @@ def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
         for _ in range(2):
             fleet = fleet_engine(workers=case.workers, faults=plan)
             try:
-                _drive_fleet_traffic(fleet, case)
+                _drive_case_traffic(fleet, case)
                 runs.append(
                     (
                         dict(fleet.results),
-                        _fleet_terminals(fleet),
+                        terminals_of(fleet),
                         fleet.health,
                         fleet.tick_now,
                     )
@@ -1037,21 +995,12 @@ def check_fleet_accounting(case: FleetCase) -> list[Diagnostic]:
                 violations=float(len(violations)),
             )
         )
-    expected = expected_serving_faults(plan, ticks)
-    missing, extra = health.account_faults(expected)
-    if missing or extra:
-        findings.append(
-            _violation(
-                VF111,
-                "serving.fleet[faults]",
-                f"health log does not match the fault plan: "
-                f"{len(missing)} planned fault(s) unreported {missing[:4]}, "
-                f"{len(extra)} unplanned fault event(s) {extra[:4]}",
-                missing=float(len(missing)),
-                extra=float(len(extra)),
-                expected=float(len(expected)),
-            )
-        )
+    findings += _plan_mismatch(
+        VF111,
+        "serving.fleet[faults]",
+        expected_serving_faults(plan, ticks),
+        health.fault_events(),
+    )
     counts = health.counts()
     faulted = counts.get("request.faulted", 0)
     if faulted:

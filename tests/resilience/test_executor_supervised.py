@@ -1,8 +1,8 @@
 """Supervised ShardExecutor: kills, retries, deadlines, degradation.
 
 Pool tests inject *real* SIGKILLs into fork workers, so they are kept
-small (80×30, 900 nnz) and use millisecond backoffs.  Accounting via
-``RunHealth.account`` is only asserted where every injected fault is
+small (80×30, 900 nnz) and use millisecond backoffs.  Fault accounting
+(``account``) is only asserted where every injected fault is
 guaranteed to be observed — a worker killed mid-delay loses its delay
 event, so the deadline test checks kinds, not the full ledger.
 """
@@ -16,7 +16,12 @@ import pytest
 from repro.core.config import CGConfig, Precision
 from repro.data import SyntheticConfig, generate_ratings
 import repro.runtime.executor as executor_module
-from repro.resilience.faults import FaultPlan, InjectedWorkerKill, expected_fault_events
+from repro.resilience.faults import (
+    FaultPlan,
+    InjectedWorkerKill,
+    account,
+    expected_fault_events,
+)
 from repro.resilience.guards import GuardPolicy
 from repro.resilience.health import RunHealth
 from repro.runtime import RuntimePlan, ShardExecutor
@@ -64,7 +69,7 @@ class TestSerialSupervised:
             expected = expected_fault_events(faults, executor.spans_log)
         assert np.isfinite(result.factors).all()
         assert expected, "fault plan was expected to fire at these rates"
-        missing, extra = health.account(expected)
+        missing, extra = account(expected, health.fault_events())
         assert (missing, extra) == ([], [])
         kills = health.counts().get("fault.worker-kill", 0)
         assert health.counts().get("supervise.retry", 0) == kills
@@ -172,7 +177,7 @@ class TestPoolSupervised:
             result = run_steps(executor, problem, steps=3)
             expected = expected_fault_events(faults, executor.spans_log)
         assert np.isfinite(result.factors).all()
-        missing, extra = health.account(expected)
+        missing, extra = account(expected, health.fault_events())
         assert (missing, extra) == ([], [])
         assert health.counts().get("supervise.respawn", 0) == 0
 

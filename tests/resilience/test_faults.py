@@ -1,4 +1,4 @@
-"""FaultPlan: deterministic, auditable, validated."""
+"""FaultPlan: deterministic, auditable, validated — one plan, three planes."""
 
 import pickle
 
@@ -10,7 +10,6 @@ from repro.resilience.faults import (
     FaultPlan,
     InjectedWorkerKill,
     NumericalFault,
-    ServingFaultPlan,
     expected_fault_events,
     expected_serving_faults,
     inject_shard_start,
@@ -51,6 +50,12 @@ class TestFaultPlanDecisions:
         assert loud.fires("fault.worker-kill", 0, 0, attempt=0)
         assert not loud.fires("fault.worker-kill", 0, 0, attempt=1)
         assert not loud.fires("fault.nan-flip", 0, 0, attempt=2)
+        # Every kind, on either site shape, fires only on attempt 0.
+        every = FaultPlan(**{name: 1.0 for name in _rate_fields()})
+        for kind in every.rate_of:
+            assert every.fires(kind, 0, 0) and every.fires(kind, 7)
+            assert not every.fires(kind, 0, 0, attempt=1)
+            assert not every.fires(kind, 7, attempt=1)
 
     def test_kinds_are_independent_streams(self):
         # With the same (step, shard), different kinds must not be
@@ -69,15 +74,18 @@ class TestFaultPlanDecisions:
             b.fires("fault.nan-flip", *x) for x in sites
         ]
 
-    def test_lane_for_in_range_and_deterministic(self):
+    def test_training_victim_lane_in_range_and_deterministic(self):
         for num in (1, 2, 7, 100):
-            lanes = {ALL_ON.lane_for("fault.nan-flip", 0, 0, num) for _ in range(5)}
+            lanes = {
+                ALL_ON.victim_lane("fault.nan-flip", 0, 0, num_lanes=num)
+                for _ in range(5)
+            }
             assert len(lanes) == 1
             assert 0 <= lanes.pop() < num
 
-    def test_lane_for_rejects_empty(self):
-        with pytest.raises(ValueError, match="num_rows"):
-            ALL_ON.lane_for("fault.nan-flip", 0, 0, 0)
+    def test_victim_lane_rejects_empty(self):
+        with pytest.raises(ValueError, match="num_lanes"):
+            ALL_ON.victim_lane("fault.nan-flip", 0, 0, num_lanes=0)
 
     @pytest.mark.parametrize("field", ["kill_rate", "delay_rate", "nan_rate", "overflow_rate"])
     def test_rates_validated(self, field):
@@ -212,7 +220,7 @@ class TestServingFaultPlan:
             corrupt_rate=0.2, score_nan_rate=0.3,
         )
         defaults.update(kw)
-        return ServingFaultPlan(**defaults)
+        return FaultPlan(**defaults)
 
     def test_fires_is_deterministic(self):
         plan = self.make_plan()
@@ -237,24 +245,25 @@ class TestServingFaultPlan:
 
     def test_unknown_kind_error_lists_every_valid_kind(self):
         # The message is the API's discovery surface: it must name all
-        # seven kinds, fleet-scoped ones included, from both entry points.
+        # kinds, fleet-scoped and training ones included, from both entry
+        # points.
         plan = self.make_plan()
         for trigger in (
             lambda: plan.fires("fault.gremlin", 0),
-            lambda: plan.victim_lane("fault.gremlin", 0, 3),
+            lambda: plan.victim_lane("fault.gremlin", 0, num_lanes=3),
         ):
             with pytest.raises(ValueError) as excinfo:
                 trigger()
             message = str(excinfo.value)
-            for kind in SERVING_FAULT_KINDS:
+            for kind in plan.rate_of:
                 assert kind in message
         assert "fault.fleet-worker-kill" in message
 
     def test_fleet_rates_default_to_zero_and_enumerate(self):
         # Back-compat: a plan built without the fleet rates never fires
-        # a fleet kind, yet still enumerates all seven kinds in rate_of.
+        # a fleet kind, yet still enumerates every serving kind in rate_of.
         plan = self.make_plan()
-        assert set(plan.rate_of) == set(SERVING_FAULT_KINDS)
+        assert set(SERVING_FAULT_KINDS) <= set(plan.rate_of)
         for kind in (
             "fault.fleet-worker-kill",
             "fault.fleet-worker-reload",
@@ -265,9 +274,11 @@ class TestServingFaultPlan:
 
     def test_victim_lane_in_range_and_stable(self):
         plan = self.make_plan(score_nan_rate=1.0)
-        lanes = [plan.victim_lane("fault.score-nan", t, 5) for t in range(16)]
+        lanes = [plan.victim_lane("fault.score-nan", t, num_lanes=5) for t in range(16)]
         assert all(0 <= lane < 5 for lane in lanes)
-        assert lanes == [plan.victim_lane("fault.score-nan", t, 5) for t in range(16)]
+        assert lanes == [
+            plan.victim_lane("fault.score-nan", t, num_lanes=5) for t in range(16)
+        ]
 
     def test_expected_faults_enumeration_matches_fires(self):
         plan = self.make_plan()
@@ -305,26 +316,72 @@ class TestFaultStreamRegistry:
         return rows
 
     def test_docs_match_code_exactly(self):
-        from repro.resilience.faults import _KIND_STREAMS, _SERVING_STREAMS
+        from repro.resilience.faults import _JITTER_STREAM, _KINDS
 
-        documented = self.parse_docs_table()
-        in_code = dict(_KIND_STREAMS)
-        in_code.update(_SERVING_STREAMS)
-        assert documented == in_code
+        in_code = {kind: stream for kind, (stream, _, _) in _KINDS.items()}
+        in_code["supervise.backoff-jitter"] = _JITTER_STREAM
+        assert self.parse_docs_table() == in_code
 
     def test_every_serving_kind_has_a_stream(self):
         from repro.resilience.faults import (
-            _SERVING_STREAMS,
+            _KINDS,
             INGEST_FAULT_KINDS,
             SERVING_FAULT_KINDS,
         )
 
-        assert set(_SERVING_STREAMS) == set(SERVING_FAULT_KINDS)
+        assert set(SERVING_FAULT_KINDS) == {
+            kind for kind, (stream, _, _) in _KINDS.items() if stream > 100
+        }
         # Ingestion kinds occupy the 108-110 block, contiguously.
-        assert [_SERVING_STREAMS[k] for k in INGEST_FAULT_KINDS] == [108, 109, 110]
+        assert [_KINDS[k][0] for k in INGEST_FAULT_KINDS] == [108, 109, 110]
 
     def test_streams_are_unique_across_planes(self):
-        from repro.resilience.faults import _KIND_STREAMS, _SERVING_STREAMS
+        from repro.resilience.faults import _JITTER_STREAM, _KINDS
 
-        streams = list(_KIND_STREAMS.values()) + list(_SERVING_STREAMS.values())
+        streams = [stream for stream, _, _ in _KINDS.values()] + [_JITTER_STREAM]
         assert len(streams) == len(set(streams))
+
+    def test_every_rate_field_is_a_plan_field(self):
+        fields = _rate_fields()
+        assert len(fields) == len(set(fields)) == 14
+        assert set(fields) < set(FaultPlan().as_dict())
+        assert len(FaultPlan().as_dict()) == 16
+
+
+def _rate_fields() -> list[str]:
+    from repro.resilience.faults import _KINDS
+
+    return [name for _, name, _ in _KINDS.values()]
+
+
+class TestOnePlanForAllPlanes:
+    """A merged plan fires exactly as the single-plane plans it replaces."""
+
+    TRAINING = dict(kill_rate=0.3, delay_rate=0.3, nan_rate=0.3, overflow_rate=0.3)
+    SERVING = dict(
+        stall_rate=0.3, reload_rate=0.2, corrupt_rate=0.2, score_nan_rate=0.3,
+        worker_kill_rate=0.2, worker_reload_rate=0.2, heartbeat_stall_rate=0.2,
+        wal_torn_rate=0.2, foldin_nan_rate=0.2, delta_apply_rate=0.2,
+    )
+
+    def test_merged_plan_fires_site_for_site(self):
+        both = FaultPlan(seed=4, **self.TRAINING, **self.SERVING)
+        training = FaultPlan(seed=4, **self.TRAINING)
+        serving = FaultPlan(seed=4, **self.SERVING)
+        sites = [(step, shard) for step in range(4) for shard in range(4)]
+        for kind in ("fault.worker-kill", "fault.delay", "fault.nan-flip",
+                     "fault.fp16-overflow"):
+            got = [both.fires(kind, *site) for site in sites]
+            assert got == [training.fires(kind, *site) for site in sites]
+            lanes = [both.victim_lane(kind, *site, num_lanes=9) for site in sites]
+            assert lanes == [
+                training.victim_lane(kind, *site, num_lanes=9) for site in sites
+            ]
+        assert expected_fault_events(both, [[(0, 3)] * 4] * 4) == (
+            expected_fault_events(training, [[(0, 3)] * 4] * 4)
+        )
+        for kind in SERVING_FAULT_KINDS:
+            got = [both.fires(kind, tick) for tick in range(64)]
+            assert got == [serving.fires(kind, tick) for tick in range(64)]
+        assert expected_serving_faults(both, 64) == expected_serving_faults(serving, 64)
+        assert expected_serving_faults(both, 64)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.resilience.faults import account
 from repro.resilience.health import FAULT_KINDS, HealthEvent, RunHealth
 
 
@@ -58,20 +59,24 @@ class TestRunHealth:
         health.record("fault.delay", step=0, shard=1)
         health.record("fault.worker-kill", step=2, shard=0)
         expected = [("fault.delay", 0, 1), ("fault.worker-kill", 2, 0)]
-        assert health.account(expected) == ([], [])
+        assert account(expected, health.fault_events()) == ([], [])
 
     def test_account_reports_missing_and_extra(self):
         health = RunHealth()
         health.record("fault.delay", step=0, shard=0)
         health.record("fault.nan-flip", step=1, shard=1)
-        missing, extra = health.account([("fault.delay", 0, 0), ("fault.delay", 3, 2)])
+        missing, extra = account(
+            [("fault.delay", 0, 0), ("fault.delay", 3, 2)], health.fault_events()
+        )
         assert missing == [("fault.delay", 3, 2)]
         assert extra == [("fault.nan-flip", 1, 1)]
 
     def test_account_counts_multiplicity(self):
         health = RunHealth()
         health.record("fault.delay", step=0, shard=0)
-        missing, extra = health.account([("fault.delay", 0, 0), ("fault.delay", 0, 0)])
+        missing, extra = account(
+            [("fault.delay", 0, 0), ("fault.delay", 0, 0)], health.fault_events()
+        )
         assert missing == [("fault.delay", 0, 0)]
         assert extra == []
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.als import ALSModel
 from repro.core.config import ALSConfig
 from repro.persistence import save_model
-from repro.resilience.faults import ServingFaultPlan, expected_serving_faults
+from repro.resilience.faults import FaultPlan, account, expected_serving_faults
 from repro.serving.breaker import BreakerConfig
 from repro.serving.engine import ServingConfig, ServingEngine
 
@@ -120,7 +120,7 @@ class TestHappyPath:
 
 class TestDegradationLadder:
     def test_stall_degrades_to_popularity_when_cache_cold(self, model_path):
-        plan = ServingFaultPlan(seed=0, stall_rate=1.0)
+        plan = FaultPlan(seed=0, stall_rate=1.0)
         engine = make_engine(model_path, faults=plan)
         rid = engine.submit(user=0, k=3)
         engine.tick()
@@ -135,7 +135,7 @@ class TestDegradationLadder:
         engine = make_engine(model_path)
         engine.submit(user=0, k=3)
         engine.run_until_drained()  # warms the cache for (user=0, k=3)
-        engine.faults = ServingFaultPlan(seed=0, stall_rate=1.0)
+        engine.faults = FaultPlan(seed=0, stall_rate=1.0)
         rid = engine.submit(user=0, k=3)
         engine.run_until_drained()
         event = [
@@ -146,7 +146,7 @@ class TestDegradationLadder:
         assert "model v" in event.detail
 
     def test_breaker_trips_under_sustained_stall(self, model_path):
-        plan = ServingFaultPlan(seed=0, stall_rate=1.0)
+        plan = FaultPlan(seed=0, stall_rate=1.0)
         engine = make_engine(
             model_path,
             faults=plan,
@@ -160,7 +160,7 @@ class TestDegradationLadder:
         assert engine.health.audit() == []
 
     def test_nan_lane_degrades_only_the_victim(self, model_path):
-        plan = ServingFaultPlan(seed=3, score_nan_rate=1.0)
+        plan = FaultPlan(seed=3, score_nan_rate=1.0)
         engine = make_engine(model_path, faults=plan, max_batch=2)
         a = engine.submit(user=0, k=2)
         b = engine.submit(user=1, k=2)
@@ -213,7 +213,7 @@ class TestHotReload:
 
 class TestChaosDeterminism:
     def drive(self, model_path, seed):
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=seed, stall_rate=0.3, reload_rate=0.1,
             corrupt_rate=0.1, score_nan_rate=0.2,
         )
@@ -233,7 +233,7 @@ class TestChaosDeterminism:
     def test_fault_log_matches_plan_enumeration(self, model_path):
         engine = self.drive(model_path, seed=7)
         expected = expected_serving_faults(engine.faults, engine.tick_now)
-        missing, extra = engine.health.account_faults(expected)
+        missing, extra = account(expected, engine.health.fault_events())
         assert missing == [] and extra == []
         assert engine.health.audit() == []
 

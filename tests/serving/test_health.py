@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.resilience.faults import account
 from repro.serving.health import ServingEvent, ServingHealth
 
 
@@ -103,8 +104,9 @@ class TestFaultAccounting:
         health = ServingHealth()
         health.record("fault.backend-stall", tick=3)
         health.record("fault.score-nan", tick=5)
-        missing, extra = health.account_faults(
-            [("fault.backend-stall", 3), ("fault.score-nan", 5)]
+        missing, extra = account(
+            [("fault.backend-stall", 3), ("fault.score-nan", 5)],
+            health.fault_events(),
         )
         assert missing == [] and extra == []
 
@@ -112,8 +114,9 @@ class TestFaultAccounting:
         health = ServingHealth()
         health.record("fault.backend-stall", tick=3)
         health.record("fault.corrupt-model-file", tick=9)
-        missing, extra = health.account_faults(
-            [("fault.backend-stall", 3), ("fault.score-nan", 5)]
+        missing, extra = account(
+            [("fault.backend-stall", 3), ("fault.score-nan", 5)],
+            health.fault_events(),
         )
         assert missing == [("fault.score-nan", 5)]
         assert extra == [("fault.corrupt-model-file", 9)]

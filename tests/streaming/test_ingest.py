@@ -84,7 +84,6 @@ class TestIngestAck:
         assert engine.ingest(0, 1, 4.0) == 0
         assert engine.ingest(2, 3, 2.0) == 1
         assert engine.pending_count == 2
-        assert engine.pending_users() == {0, 2}
         kinds = [r.kind for r in engine.wal.replay()]
         assert kinds == ["rating", "rating"]
         engine.close()

@@ -36,11 +36,6 @@ class TestAppendReplay:
             assert wal.append(0, 0, 1.0) == 3
             assert len(wal.replay()) == 4
 
-    def test_records_after_filters_strictly(self, tmp_path):
-        with RatingsWAL(tmp_path) as wal:
-            append_many(wal, 4)
-            assert [r.seq for r in wal.records_after(1)] == [2, 3]
-
 
 class TestRotation:
     def test_segments_rotate_at_threshold(self, tmp_path):

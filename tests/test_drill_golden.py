@@ -66,21 +66,11 @@ def fleet_events() -> list[dict]:
 
 
 def ingest_events() -> list[dict]:
-    import repro.streaming.drill as drill
+    from repro.streaming.drill import run_ingest_drill
 
-    engines = []
-
-    class RecordingEngine(drill.ServingEngine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(drill, "ServingEngine", RecordingEngine)
-        report = drill.run_ingest_drill(seed=0, events=160, chaos=True)
+    report = run_ingest_drill(seed=0, events=160, chaos=True)
     assert report["ok"], report
-    (engine,) = engines
-    return [_normalise_paths(e.as_dict()) for e in engine.health.events]
+    return [_normalise_paths(e) for e in report["health"]["events"]]
 
 
 def _normalise_paths(event: dict) -> dict:
