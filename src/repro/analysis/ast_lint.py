@@ -23,8 +23,8 @@ Generic linters cannot know this codebase's conventions; these rules can:
 
 ``lint_tree`` walks a directory; per-file ignores cover the deliberate
 exceptions (``cli.py`` lazily imports heavy subsystems inside
-subcommands to keep ``repro --help`` fast; the runtime autotuner/bench
-lazily import the serving-layer retrieval index to keep the layering
+subcommands to keep ``repro --help`` fast; the runtime bench lazily
+imports the serving and streaming layers to keep the layering
 acyclic).  See :data:`DEFAULT_IGNORES`.
 """
 
@@ -101,13 +101,12 @@ _ALLOC_FUNCS = frozenset(
 
 #: Relative-path suffixes mapped to the rule IDs ignored there.  cli.py's
 #: subcommands import numpy-heavy subsystems lazily so ``repro --help``
-#: stays instant; the runtime's autotuner and bench harness import the
-#: serving layer's retrieval index lazily because serving sits *above*
-#: the runtime in the layering — a module-scope import there would point
-#: the dependency arrow the wrong way.
+#: stays instant; the runtime's bench harness imports the serving and
+#: streaming layers lazily because they sit *above* the runtime in the
+#: layering — a module-scope import there would point the dependency
+#: arrow the wrong way.
 DEFAULT_IGNORES: Mapping[str, frozenset[str]] = {
     "cli.py": frozenset({AL004}),
-    "runtime/autotune.py": frozenset({AL004}),
     "runtime/bench.py": frozenset({AL004}),
 }
 

@@ -4,16 +4,14 @@ Times the two ALS hot spots and a full epoch on a synthetic
 Netflix-*shape* surrogate (Zipf-popular items, planted low-rank signal —
 scaled down so CI finishes in seconds), once along the **legacy** path
 (the seed implementation: fresh scratch per chunk, dense CG sweeps, no
-sharding) and once along the **optimized** path (autotuned plan through
-:class:`~repro.runtime.executor.ShardExecutor`).  The legacy leg always
-runs the oracle kernels (``reduceat`` + ``reference``).  The tuner
-sweeps only the ``grouped`` kernel by default and the CG sweep usually
-picks ``fused``, so the optimized leg reorders float sums: the report
-asserts *objective equivalence* — both epochs reach the same training
-loss — which is the paper's approximate-computing contract (truncated
-CG iterates are chaotic in their low bits by design, the converged loss
-is what must agree).  A plan on the oracle kernel pair is held to
-bit-identical factors instead.
+sharding) and once along the **optimized** path (the plan training runs,
+``RuntimePlan()``, through :class:`~repro.runtime.executor.ShardExecutor`).
+The legacy leg always runs the oracle kernels (``reduceat`` +
+``reference``); the optimized leg runs ``grouped`` + ``fused``, which
+reorder float sums, so the report asserts *objective equivalence* —
+both epochs reach the same training loss — which is the paper's
+approximate-computing contract (truncated CG iterates are chaotic in
+their low bits by design, the converged loss is what must agree).
 
 The emitted ``BENCH_runtime.json`` (schema ``repro.bench/v1``) records
 *speedup ratios*, not absolute seconds: ratios of two legs measured in
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +35,8 @@ from ..core.cg import cg_solve_batched
 from ..core.config import CGConfig, Precision
 from ..core.hermitian import hermitian_and_bias
 from ..data.synthetic import SyntheticConfig, generate_ratings
-from .autotune import autotune_plan
 from .executor import ShardExecutor
+from .plan import ORACLE_PLAN, RuntimePlan
 
 __all__ = [
     "BenchConfig",
@@ -172,10 +170,17 @@ def run_bench(
 ) -> dict:
     """Measure legacy vs optimized hot paths; return the report payload.
 
-    ``workers`` is passed to :func:`autotune_plan`: ``None`` (default)
-    times the in-process, one-shard-per-core layout training runs by
-    default; ``0`` the one-shard serial plan; ``>= 1`` the fork pool.
+    ``workers`` picks the optimized leg's plan: ``None`` (default) is
+    ``RuntimePlan()``, the in-process, one-shard-per-core layout training
+    runs; ``0`` the one-shard serial plan; ``N >= 1`` the fork pool with
+    ``N`` workers and shards.
     """
+    if workers is None:
+        plan = RuntimePlan()
+    elif workers == 0:
+        plan = RuntimePlan(shards=1)
+    else:
+        plan = RuntimePlan(shards=workers, workers=workers)
     data = generate_ratings(
         SyntheticConfig(m=cfg.m, n=cfg.n, nnz=cfg.nnz, seed=cfg.seed)
     )
@@ -184,15 +189,15 @@ def run_bench(
     theta = rng.normal(0, 0.1, (cfg.n, cfg.f)).astype(np.float32)
     x_warm = rng.normal(0, 0.1, (cfg.m, cfg.f)).astype(np.float32)
     cg_cfg = CGConfig(max_iters=cfg.cg_iters, tol=1e-5)
-
-    report = autotune_plan(
-        data, cfg.f, warmup_nnz=max(cfg.nnz // 4, 1), repeats=cfg.repeats,
-        cg_config=cg_cfg, workers=workers,
-    )
-    plan = report.plan
     executor = ShardExecutor(plan)
+    # The seed kernels on the seed layout (one shard, fresh scratch per
+    # chunk, dense CG sweeps); VF107 pins it bit-identical to the seed
+    # pipeline.
+    legacy = ShardExecutor(
+        replace(ORACLE_PLAN, shards=1, arena=False, compact_cg=False)
+    )
 
-    # -- hermitian: legacy (seed defaults) vs tuned kernel/chunk/arena ----
+    # -- hermitian: legacy (seed defaults) vs the plan's kernel/chunk/arena -
     legacy_herm = _best_of(
         cfg.repeats, lambda: hermitian_and_bias(data, theta, cfg.lam)
     )
@@ -213,7 +218,7 @@ def run_bench(
     )
 
     # -- CG: legacy (reference kernels, dense sweeps, fresh scratch) vs the
-    # tuned solver (plan's backend + compaction on the arena) -------------
+    # plan's solver (its backend + compaction on the arena) ---------------
     A_ref, b_ref = hermitian_and_bias(data, theta, cfg.lam)
     legacy_cg = _best_of(
         cfg.repeats,
@@ -234,24 +239,14 @@ def run_bench(
     )
 
     # -- end-to-end epoch: both half-steps ---------------------------------
-    def legacy_epoch(precision: Precision = Precision.FP16) -> np.ndarray:
-        A, b = hermitian_and_bias(data, theta, cfg.lam)
-        x = cg_solve_batched(
-            A, b, x0=x_warm, config=cg_cfg, precision=precision,
-            compact=False, backend="reference",
-        ).x
-        A, b = hermitian_and_bias(data_t, x, cfg.lam)
-        return cg_solve_batched(
-            A, b, x0=theta, config=cg_cfg, precision=precision,
-            compact=False, backend="reference",
-        ).x
-
-    def optimized_epoch(precision: Precision = Precision.FP16) -> np.ndarray:
-        x = executor.half_step(
+    def epoch(
+        runner: ShardExecutor, precision: Precision = Precision.FP16
+    ) -> np.ndarray:
+        x = runner.half_step(
             data, theta, x_warm, lam=cfg.lam, cg_config=cg_cfg,
             precision=precision, key="x",
         ).factors
-        return executor.half_step(
+        return runner.half_step(
             data_t, x, theta, lam=cfg.lam, cg_config=cg_cfg,
             precision=precision, key="theta",
         ).factors
@@ -260,12 +255,10 @@ def run_bench(
     # its iterates are chaotic in their low bits: the grouped kernel's
     # reordered sums (~1e-7 relative on A) can steer individual
     # ill-conditioned systems onto visibly different — equally valid —
-    # Krylov trajectories.  Pointwise factor comparison is therefore only
-    # meaningful for reduceat plans (where it must be *bitwise*, pinned
-    # here and by VF107); the plan-independent contract is the paper's
-    # approximate-computing one: both epochs reach the same training
-    # objective.  Probed at FP32 so the FP16 quantizer's rounding steps
-    # do not add their own discontinuity.
+    # Krylov trajectories, so pointwise factor comparison is meaningless
+    # here.  The contract is the paper's approximate-computing one: both
+    # epochs reach the same training objective.  Probed at FP32 so the
+    # FP16 quantizer's rounding steps do not add their own discontinuity.
     rows_per_nnz = np.repeat(np.arange(data.m), np.diff(data.row_ptr))
 
     def objective(x_fac: np.ndarray, theta_fac: np.ndarray) -> float:
@@ -281,20 +274,13 @@ def run_bench(
         A_ref, b_ref, x0=x_warm, config=cg_cfg, precision=Precision.FP32,
         compact=False,
     ).x
-    theta_legacy = legacy_epoch(Precision.FP32)
-    theta_opt = optimized_epoch(Precision.FP32).copy()
-    identical = (
-        plan.method == "reduceat"
-        and plan.cg_backend == "reference"
-        and bool(np.array_equal(theta_legacy, theta_opt))
-    )
+    theta_legacy = epoch(legacy, Precision.FP32).copy()
+    theta_opt = epoch(executor, Precision.FP32).copy()
     sse_legacy = objective(x_probe, theta_legacy)
     sse_opt = objective(x_probe, theta_opt)
-    equivalent = identical or bool(
-        abs(sse_opt - sse_legacy) <= 0.01 * sse_legacy + 1e-12
-    )
-    legacy_epoch_s = _best_of(cfg.repeats, legacy_epoch)
-    opt_epoch_s = _best_of(cfg.repeats, optimized_epoch)
+    equivalent = bool(abs(sse_opt - sse_legacy) <= 0.01 * sse_legacy + 1e-12)
+    legacy_epoch_s = _best_of(cfg.repeats, lambda: epoch(legacy))
+    opt_epoch_s = _best_of(cfg.repeats, lambda: epoch(executor))
 
     # -- steady-state allocation probe -------------------------------------
     steady_allocs = -1
@@ -302,11 +288,12 @@ def run_bench(
     peak_resident = 0
     if executor.workspace is not None:
         executor.workspace.reset_counters()
-        optimized_epoch()
+        epoch(executor)
         steady_allocs = executor.workspace.allocations
         resident = executor.workspace.resident_bytes
         peak_resident = executor.workspace.peak_resident_bytes
     executor.close()
+    legacy.close()
 
     retrieval, retrieval_allocs = _bench_retrieval(cfg)
     fleet = _bench_fleet(cfg)
@@ -323,7 +310,6 @@ def run_bench(
         "schema": SCHEMA,
         "config": cfg.as_dict(),
         "plan": plan.as_dict(),
-        "autotune": report.as_dict(),
         "sections": {
             "hermitian": section(legacy_herm, opt_herm),
             "cg": section(legacy_cg, opt_cg),
@@ -333,7 +319,6 @@ def run_bench(
             "ingest": ingest,
         },
         "numerics": {
-            "bit_identical": identical,
             "equivalent": equivalent,
             "sse_legacy": sse_legacy,
             "sse_optimized": sse_opt,

@@ -6,11 +6,12 @@ configuration: where the chunked ``get_hermitian`` scratch lives
 subproblems is partitioned (``shards`` — the thread-block grid), and
 whether the shards run in-process on threads (``workers=0``, one lane
 per usable core) or on forked OS processes (``workers >= 1``).  Plans
-are plain data so they can be produced by the autotuner, serialized
-into bench reports and compared across machines.  The default
-``shards`` is the usable core count (:func:`usable_cores`), so a default
-plan trains on every core the process may run on; on a one-core host
-it is the one-shard serial plan.
+are plain data so they can be serialized into bench reports and
+compared across machines.  Training and ``repro bench`` run the
+defaults; the paper-model launch tuner is :mod:`repro.core.tuning`.
+The default ``shards`` is the usable core count (:func:`usable_cores`),
+so a default plan trains on every core the process may run on; on a
+one-core host it is the one-shard serial plan.
 
 Numerics are fixed per *kernel pair* (``method``, ``cg_backend``): every
 layout of one pair — shards, workers, chunking, arena, CG compaction —
@@ -105,15 +106,6 @@ class RuntimePlan:
         Reuse workspace buffers across chunks and epochs.  Disabling
         restores the seed's allocate-per-chunk behaviour (the bench's
         "legacy" leg).
-    index_budget:
-        Build budget for the serving-side IVF retrieval index, in
-        item·iteration work units (one unit = one item visited by one
-        Lloyd pass; see :class:`repro.serving.index.IndexConfig`).
-        ``None`` leaves builds unmetered; ``0`` never affords a build,
-        so an index-enabled engine serves the brute-force rung.  The
-        autotuner derives it from a measured per-unit cost and a
-        wall-clock allowance so a model install never stalls serving
-        longer than the operator budgeted.
     """
 
     method: str = "grouped"
@@ -123,7 +115,6 @@ class RuntimePlan:
     compact_cg: bool | None = None
     cg_backend: str = "fused"
     arena: bool = True
-    index_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in HERMITIAN_METHODS:
@@ -143,8 +134,6 @@ class RuntimePlan:
             raise ValueError("workers must be >= 0 (0 = in-process threads)")
         if self.workers > self.shards:
             raise ValueError("workers beyond shards would idle; lower workers")
-        if self.index_budget is not None and self.index_budget < 0:
-            raise ValueError("index_budget must be non-negative (or None)")
 
     def as_dict(self) -> dict:
         """JSON-ready representation (bench reports, fixtures)."""
@@ -156,7 +145,6 @@ class RuntimePlan:
             "compact_cg": self.compact_cg,
             "cg_backend": self.cg_backend,
             "arena": self.arena,
-            "index_budget": self.index_budget,
         }
 
     @classmethod
@@ -166,10 +154,12 @@ class RuntimePlan:
         Missing keys fall back to the field defaults so reports written
         before a field existed still load — except the kernel pair: a
         report without ``method`` or ``cg_backend`` ran the oracle
-        kernels, so those load as :data:`ORACLE_PLAN`'s.  Unknown keys
-        are an error so a typo'd report can't silently deserialize to
-        the default plan.
+        kernels, so those load as :data:`ORACLE_PLAN`'s.  The retired
+        ``index_budget`` key of older reports is dropped.  Any other
+        unknown key is an error so a typo'd report can't silently
+        deserialize to the default plan.
         """
+        data = {k: v for k, v in data.items() if k != "index_budget"}
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:

@@ -138,11 +138,10 @@ class IndexConfig:
         config → bit-identical index).
     budget:
         Build budget in **item·iteration work units** (one unit = one
-        item visited by one Lloyd pass), the knob
-        :class:`~repro.runtime.plan.RuntimePlan` carries as
-        ``index_budget``.  ``None`` is unmetered; a budget below one
-        full pass (``n_items``) skips the build entirely — the store
-        then serves brute force, never a half-fit index.
+        item visited by one Lloyd pass); ``ModelStore`` spends it at
+        model install.  ``None`` is unmetered; a budget below one full
+        pass (``n_items``) skips the build entirely — the store then
+        serves brute force, never a half-fit index.
     """
 
     ncells: int | None = None
@@ -308,25 +307,6 @@ class ItemIndex:
                 math.sqrt(float(np.einsum("if,if->i", diff, diff).max()))
             )
         return cells
-
-    def probe_ranges(self, cells: np.ndarray) -> list[tuple[int, int]]:
-        """Merge sorted probed cells into contiguous ``[lo, hi)`` slices.
-
-        Adjacent cells own adjacent ``theta_perm`` slices by
-        construction, so runs of neighbouring (or empty-separated)
-        cells collapse into one GEMV each.
-        """
-        ptr = self.cell_ptr
-        ranges: list[tuple[int, int]] = []
-        for c in cells:
-            lo, hi = int(ptr[c]), int(ptr[c + 1])
-            if lo == hi:
-                continue
-            if ranges and ranges[-1][1] == lo:
-                ranges[-1] = (ranges[-1][0], hi)
-            else:
-                ranges.append((lo, hi))
-        return ranges
 
     def stats(self) -> dict:
         """Operational snapshot (JSON-ready) for reports and the CLI."""

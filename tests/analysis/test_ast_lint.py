@@ -150,14 +150,13 @@ class TestAL004FunctionBodyImports:
         assert rules(lint(code, filename="repro/other.py")) == {"AL004"}
 
     def test_runtime_layering_exceptions(self):
-        # The autotuner/bench probe the serving-layer index lazily; a
-        # module-scope import would invert the runtime<-serving layering.
+        # The bench probes the serving-layer index lazily; a module-scope
+        # import would invert the runtime<-serving layering.
         code = """
         def probe():
             from ..serving.index import build_index
             return build_index
         """
-        assert lint(code, filename="repro/runtime/autotune.py") == []
         assert lint(code, filename="repro/runtime/bench.py") == []
         assert rules(lint(code, filename="repro/runtime/arena.py")) == {
             "AL004"

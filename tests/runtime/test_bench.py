@@ -1,9 +1,11 @@
 """Tests for the perf-regression bench harness and its baseline gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.runtime import RuntimePlan
 from repro.runtime.bench import (
     BASELINE_SCHEMA,
     QUICK_BENCH,
@@ -39,24 +41,10 @@ def make_baseline(**sections):
 
 
 class TestRunBench:
-    def test_default_times_the_training_layout(self, monkeypatch):
-        # workers=None is autotune's in-process, one-shard-per-core plan,
-        # the layout a default training run executes.
-        import repro.runtime.bench as bench
-
-        seen = {}
-
-        class Stop(Exception):
-            pass
-
-        def recording_autotune(*args, **kwargs):
-            seen.update(kwargs)
-            raise Stop
-
-        monkeypatch.setattr(bench, "autotune_plan", recording_autotune)
-        with pytest.raises(Stop):
-            run_bench(TINY)
-        assert seen["workers"] is None
+    def test_default_times_the_training_layout(self):
+        # workers=None times RuntimePlan(), the layout a default training
+        # run executes; the module fixture's workers=0 is the serial plan.
+        assert run_bench(TINY)["plan"] == RuntimePlan().as_dict()
 
     def test_report_shape(self, result):
         assert result["schema"] == SCHEMA
@@ -68,7 +56,8 @@ class TestRunBench:
             assert section["optimized_seconds"] > 0
             assert section["speedup"] > 0
         assert result["config"] == TINY.as_dict()
-        assert result["plan"] == result["autotune"]["plan"]
+        assert result["plan"] == RuntimePlan(shards=1).as_dict()
+        assert "autotune" not in result
 
     def test_retrieval_section_shape(self, result):
         retrieval = result["sections"]["retrieval"]
@@ -282,6 +271,19 @@ class TestCompareAgainst:
         ok_loose, _ = compare_against(result, baseline, tolerance=0.5)
         assert not ok_strict
         assert ok_loose
+
+
+class TestCommittedReport:
+    def test_carries_every_gated_section(self):
+        root = Path(__file__).parents[2]
+        report = json.loads((root / "BENCH_runtime.json").read_text())
+        baseline = json.loads(
+            (root / "benchmarks" / "baseline.json").read_text()
+        )
+        assert report["schema"] == SCHEMA
+        assert set(baseline["sections"]) <= set(report["sections"])
+        assert "autotune" not in report
+        assert RuntimePlan.from_dict(report["plan"]).as_dict() == report["plan"]
 
 
 class TestWriteReport:

@@ -1,5 +1,5 @@
-"""CG fast-path properties: allocation-free steady state, tuned plans,
-plan serialization, and the gated ``cg`` bench floor.
+"""CG fast-path properties: allocation-free steady state, plan
+serialization, and the gated ``cg`` bench floor.
 
 The speed *ratio* itself is asserted conservatively here (tiny shapes on
 shared CI hardware are noisy); the real 2x floor is enforced by the
@@ -17,9 +17,7 @@ import pytest
 from repro.core.cg import cg_solve_batched
 from repro.core.cg_backends import backend_names
 from repro.core.config import CGConfig, Precision
-from repro.data import SyntheticConfig, generate_ratings
 from repro.runtime.arena import Workspace
-from repro.runtime.autotune import autotune_plan
 from repro.runtime.bench import BenchConfig, compare_against, run_bench
 from repro.runtime.plan import CG_BACKENDS, RuntimePlan
 
@@ -109,49 +107,9 @@ class TestFusedFasterThanLegacy:
         assert legacy / best_of(5, fused) >= 1.1
 
 
-@pytest.fixture(scope="module")
-def ratings():
-    return generate_ratings(SyntheticConfig(m=200, n=50, nnz=2_000, seed=4))
-
-
-class TestAutotunedCGCandidates:
-    def test_sweeps_backend_compact_cross(self, ratings):
-        report = autotune_plan(ratings, 8, warmup_nnz=500, repeats=1, workers=0)
-        swept = {(b, c) for b, c, _ in report.cg_timings}
-        assert swept == {
-            (b, c) for b in CG_BACKENDS for c in (None, True)
-        }
-        assert all(s >= 0.0 for _, _, s in report.cg_timings)
-
-    def test_winner_is_fastest_cg_candidate(self, ratings):
-        report = autotune_plan(ratings, 8, warmup_nnz=500, repeats=1, workers=0)
-        best = min(report.cg_timings, key=lambda t: t[2])
-        assert (report.plan.cg_backend, report.plan.compact_cg) == best[:2]
-
-    def test_skipping_sweep_keeps_reference_defaults(self, ratings):
-        report = autotune_plan(
-            ratings, 8, warmup_nnz=500, repeats=1, workers=0, cg_backends=()
-        )
-        assert report.cg_timings == ()
-        assert report.plan.cg_backend == "reference"
-        assert report.plan.compact_cg is None
-
-    def test_unknown_backend_rejected(self, ratings):
-        with pytest.raises(ValueError, match="unknown CG backend"):
-            autotune_plan(ratings, 8, cg_backends=("nope",))
-
-    def test_report_dict_carries_cg_timings(self, ratings):
-        payload = autotune_plan(
-            ratings, 8, warmup_nnz=500, repeats=1, workers=0
-        ).as_dict()
-        assert {"backend", "compact", "seconds"} == set(payload["cg_timings"][0])
-
-
 class TestPlanRoundTrip:
-    def test_selected_plan_round_trips_through_json(self, ratings):
-        plan = autotune_plan(
-            ratings, 8, warmup_nnz=500, repeats=1, workers=0
-        ).plan
+    def test_selected_plan_round_trips_through_json(self):
+        plan = RuntimePlan()
         revived = RuntimePlan.from_dict(json.loads(json.dumps(plan.as_dict())))
         assert revived == plan
 
@@ -174,6 +132,20 @@ class TestPlanRoundTrip:
         del legacy["method"]
         assert RuntimePlan.from_dict(legacy).method == "reduceat"
 
+    def test_pre_retirement_index_budget_key_is_dropped(self):
+        # The plan of the BENCH_runtime.json committed while plans still
+        # carried an index_budget field; such reports must still load.
+        old = {
+            "arena": True, "cg_backend": "fused", "chunk_elems": 1048576,
+            "compact_cg": None, "index_budget": None, "method": "grouped",
+            "shards": 1, "workers": 0,
+        }
+        plan = RuntimePlan.from_dict(old)
+        assert plan == RuntimePlan(chunk_elems=1048576, shards=1)
+        assert "index_budget" not in plan.as_dict()
+        with pytest.raises(ValueError, match="cg_backnd"):
+            RuntimePlan.from_dict(old | {"cg_backnd": "fused"})
+
     def test_unknown_keys_rejected(self):
         payload = RuntimePlan().as_dict() | {"cg_backnd": "fused"}
         with pytest.raises(ValueError, match="cg_backnd"):
@@ -194,11 +166,6 @@ class TestBenchEmitsCGSection:
         assert section["speedup"] > 0
         assert section["legacy_seconds"] > 0
         assert result["plan"]["cg_backend"] in CG_BACKENDS
-
-    def test_autotune_payload_reports_cg_sweep(self, result):
-        assert result["autotune"]["cg_timings"], (
-            "bench must measure CG candidates, not only hermitian methods"
-        )
 
     def test_committed_baseline_gates_cg_floor(self, result):
         # The committed baseline demands >= 2x at the bench shape; prove

@@ -8,7 +8,6 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.index import (
     DEFAULT_LLOYD_ITERS,
     IndexConfig,
-    ItemIndex,
     build_index,
     clustered_catalog,
     default_ncells,
@@ -183,21 +182,6 @@ class TestSelectCells:
             cells = set(index.select_cells(u, p).tolist())
             assert prev <= cells
             prev = cells
-
-    def test_probe_ranges_merge_adjacent_cells(self):
-        index = ItemIndex(
-            centroids=np.zeros((4, 2), dtype=np.float32),
-            radii=np.zeros(4, dtype=np.float32),
-            perm=np.arange(10, dtype=np.int64),
-            cell_ptr=np.array([0, 3, 3, 7, 10], dtype=np.int64),
-            theta_perm=np.zeros((10, 2), dtype=np.float32),
-            nprobe=1,
-            seed=0,
-            iters_run=1,
-        )
-        # Cells 0 and 2 are separated only by empty cell 1: one run.
-        assert index.probe_ranges(np.array([0, 1, 2])) == [(0, 7)]
-        assert index.probe_ranges(np.array([0, 3])) == [(0, 3), (7, 10)]
 
 
 class TestProbedServing:

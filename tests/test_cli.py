@@ -27,7 +27,7 @@ class TestParser:
             build_parser().parse_args(["advise"])
 
     def test_bench_workers_default_is_the_training_layout(self):
-        # None = autotune's in-process threaded default; 0 = serial plan.
+        # None = RuntimePlan(), the in-process threaded default; 0 = serial plan.
         assert build_parser().parse_args(["bench"]).workers is None
         assert build_parser().parse_args(
             ["bench", "--workers", "0"]
