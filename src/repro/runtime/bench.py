@@ -34,6 +34,7 @@ import numpy as np
 from ..core.cg import cg_solve_batched
 from ..core.config import CGConfig, Precision
 from ..core.hermitian import hermitian_and_bias
+from ..data.sparse import RatingMatrix
 from ..data.synthetic import SyntheticConfig, generate_ratings
 from .executor import ShardExecutor
 from .plan import ORACLE_PLAN, RuntimePlan
@@ -297,7 +298,7 @@ def run_bench(
 
     retrieval, retrieval_allocs = _bench_retrieval(cfg)
     fleet = _bench_fleet(cfg)
-    ingest = _bench_ingest(cfg)
+    ingest = _bench_ingest(cfg, data, data_t)
 
     def section(legacy: float, optimized: float) -> dict:
         return {
@@ -555,7 +556,9 @@ def _bench_fleet(cfg: BenchConfig) -> dict:
     }
 
 
-def _bench_ingest(cfg: BenchConfig) -> dict:
+def _bench_ingest(
+    cfg: BenchConfig, data: RatingMatrix, data_t: RatingMatrix
+) -> dict:
     """Online fold-in of a streamed delta vs the batch alternative.
 
     The *legacy* way to absorb new ratings is what the trainers do: a
@@ -567,7 +570,8 @@ def _bench_ingest(cfg: BenchConfig) -> dict:
     checkpoint it writes.  The reported ``foldin_ms`` is the latency
     observable the baseline hard-gates (``foldin_ms_ceiling``): the
     point of online ingestion is that freshness costs milliseconds,
-    not an epoch.
+    not an epoch.  ``data``/``data_t`` are the bench's ratings and
+    their transpose.
     """
     # Streaming sits above the runtime in the layering; import lazily
     # so the runtime package stays importable on its own.
@@ -576,10 +580,6 @@ def _bench_ingest(cfg: BenchConfig) -> dict:
 
     from ..streaming import IngestConfig, IngestEngine
 
-    data = generate_ratings(
-        SyntheticConfig(m=cfg.m, n=cfg.n, nnz=cfg.nnz, seed=cfg.seed)
-    )
-    data_t = data.transpose()
     rng = np.random.default_rng(cfg.seed + 9)
     theta = rng.normal(0, 0.1, (cfg.n, cfg.f)).astype(np.float32)
     x = rng.normal(0, 0.1, (cfg.m, cfg.f)).astype(np.float32)

@@ -7,8 +7,9 @@ same on the host: :func:`partition_rows` splits the row space into
 ``plan.shards`` contiguous ranges of roughly equal nnz, and
 :class:`ShardExecutor` runs them either in-process on threads (the
 default, ``workers=0``) or on forked worker processes that write their
-row ranges in place into a :mod:`multiprocessing.shared_memory` output,
-with zero serialization of the results.
+row ranges in place into an anonymous shared-memory output
+(:class:`~repro.runtime.supervisor.SharedSegments`), with zero
+serialization of the results.
 
 In-process, the shards run on up to ``min(shards, usable_cores())``
 *lanes*: lane ``j`` runs shards ``j, j + lanes, …`` in order on its own
@@ -417,12 +418,7 @@ class ShardExecutor:
         return buf
 
     def close(self) -> None:
-        """Release shared-memory blocks and cached scratch (idempotent).
-
-        Each shared-memory segment is unlinked exactly once, even when
-        ``close()`` races ``__del__`` (see
-        :class:`~repro.runtime.supervisor.SharedSegments`).
-        """
+        """Release shared output blocks and cached scratch (idempotent)."""
         self._shm.close()
         self._outputs.clear()
         if self._threads is not None:
@@ -720,7 +716,7 @@ class ShardExecutor:
                 worker.reap()
         # Copy the solved factors out of the transport buffer so the
         # returned array follows the same persistent-buffer lifetime as
-        # the serial path (and survives shm growth/unlink).
+        # the serial path (and survives the block's growth or release).
         out = self._output(key, shape)
         np.copyto(out, out_view)
         return out, [counters[i] for i in range(len(spans))]

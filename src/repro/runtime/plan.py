@@ -89,8 +89,8 @@ class RuntimePlan:
         in-process on up to ``min(shards, usable_cores())`` threads
         (see :data:`repro.runtime.executor.LANE_MIN_NNZ`; one thread is
         the plain serial loop), ``>= 1`` uses a supervised fork pool
-        over ``multiprocessing.shared_memory``.  Every choice gives the
-        same bits.
+        over anonymous shared memory.  Every choice gives the same
+        bits.
     compact_cg:
         Forwarded to the CG solver's frozen-system compaction:
         ``None`` lets the solver decide per iteration, ``True``/``False``

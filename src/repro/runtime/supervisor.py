@@ -16,9 +16,12 @@ share:
 * :func:`await_replies` — await one reply per worker, classifying each
   outcome as a reply, death by pipe EOF, death without a report, or a
   deadline overrun.
-* :class:`SharedSegments` — named, grow-only shared-memory blocks (the
-  arrays workers write back into, or that outlive a fork), each
-  unlinked exactly once on close.
+* :func:`shared_copy` and :class:`SharedSegments` — arrays in anonymous
+  ``MAP_SHARED`` memory, created in the parent before the fork: the
+  factors a worker reads, the output it writes back into.  Nothing is
+  named, so no resource-tracker helper starts and a killed parent
+  leaks nothing; the kernel frees a block when its last holder drops
+  it.
 * :meth:`Worker.reap` — kill, join and close a worker.
 * :func:`backoff` — the exponential backoff schedule.
 
@@ -30,14 +33,16 @@ and inline latch.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from multiprocessing import connection, shared_memory
+from multiprocessing import connection
 from multiprocessing.process import BaseProcess
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 __all__ = [
     "DEADLINE",
@@ -50,6 +55,7 @@ __all__ = [
     "fork_available",
     "fork_context",
     "fork_worker",
+    "shared_copy",
 ]
 
 #: Fault details :func:`await_replies` reports (the ``detail`` strings of
@@ -141,10 +147,10 @@ def await_replies(
             # A worker may send its reply and exit between the wait() and
             # this scan; once it is gone its reply is already buffered in
             # the pipe, so poll() separates "finished fast" from "died
-            # without reporting".
-            if worker.conn in ready or (
-                not worker.proc.is_alive() and worker.conn.poll()
-            ):
+            # without reporting".  Liveness is read once: a worker that
+            # replies and exits after this read is seen on the next scan.
+            alive = worker.proc.is_alive()
+            if worker.conn in ready or (not alive and worker.conn.poll()):
                 try:
                     reply = worker.conn.recv()
                 except (EOFError, OSError):
@@ -155,7 +161,7 @@ def await_replies(
                     del pending[key]
                     yield key, worker, reply, None
                     continue
-            elif not worker.proc.is_alive():
+            elif not alive:
                 fault = NO_RESULT
             elif worker.deadline is not None and now > worker.deadline:
                 fault = DEADLINE
@@ -183,45 +189,42 @@ def backoff(
     return min(seconds * factor**strikes * (1.0 + jitter), cap)
 
 
-class SharedSegments(dict):
-    """Named, grow-only float32 shared-memory blocks (a name → block map).
+def _shared_array(shape: tuple[int, ...], dtype: DTypeLike) -> np.ndarray:
+    """A zeroed array in a fresh anonymous ``MAP_SHARED`` mapping.
 
-    Each block is unlinked exactly once: :meth:`close` detaches the map
-    before tearing the blocks down, so a re-entrant call — ``close()``
-    racing ``__del__`` at interpreter shutdown — sees an empty map (a
-    second unlink trips the multiprocessing resource_tracker's "leaked
-    shared_memory" warning path), and one failing block cannot leak the
-    others.
+    The array holds the mapping's buffer, so the mapping lives exactly
+    as long as its last view, here and in every child forked after it.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape, dtype=np.int64))
+    block = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(block, dtype, count).reshape(shape)
+
+
+def shared_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` that forked children share instead of copying."""
+    out = _shared_array(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
+class SharedSegments(dict):
+    """Grow-only float32 shared blocks, one per name (a name → array map).
+
+    A block is an anonymous shared mapping (:func:`_shared_array`), so
+    it reaches every worker forked after :meth:`array` returns it.
+    Dropping a block releases nothing another holder still uses: a
+    view, or a forked child, keeps the mapping alive until it is gone.
     """
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A float32 view of block ``name``, reallocated when too small.
-
-        Drop every view of a block before the block is reallocated or
-        closed: an exported buffer keeps its mapping alive.
-        """
-        nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * 4)
+        """A float32 view of block ``name``, reallocated when too small."""
+        count = int(np.prod(shape, dtype=np.int64))
         blk = self.get(name)
-        if blk is None or blk.size < nbytes:
-            if blk is not None:
-                _release(self.pop(name))
-            blk = self[name] = shared_memory.SharedMemory(create=True, size=nbytes)
-        return np.ndarray(shape, np.float32, buffer=blk.buf)
+        if blk is None or blk.size < count:
+            blk = self[name] = _shared_array((count,), np.float32)
+        return blk[:count].reshape(shape)
 
     def close(self) -> None:
-        """Close and unlink every block (idempotent, exception-safe)."""
-        blocks = list(self.values())
+        """Drop every block (idempotent)."""
         self.clear()
-        for blk in blocks:
-            _release(blk)
-
-
-def _release(blk: shared_memory.SharedMemory) -> None:
-    try:
-        blk.close()
-    except (OSError, BufferError):
-        pass
-    try:
-        blk.unlink()
-    except OSError:
-        pass  # another process already unlinked it

@@ -51,6 +51,20 @@ from .reload import ModelStore, ReloadOutcome
 __all__ = ["ServingConfig", "ServingEngine", "ServingFault"]
 
 
+#: Rows per block of the popularity proxy's float64 pass.
+_NORM_ROWS = 8192
+
+
+def _row_norms(theta: np.ndarray) -> np.ndarray:
+    """Float64 row norms of ``theta``, one row block at a time (each
+    row's norm does not depend on the blocking)."""
+    out = np.empty(theta.shape[0], dtype=np.float64)
+    for lo in range(0, theta.shape[0], _NORM_ROWS):
+        block = theta[lo:lo + _NORM_ROWS].astype(np.float64)
+        out[lo:lo + block.shape[0]] = np.linalg.norm(block, axis=1)
+    return out
+
+
 class ServingFault(RuntimeError):
     """The degradation ladder's floor: a request that could not be served.
 
@@ -119,9 +133,7 @@ class ServingEngine:
         if popularity is None:
             # Factor-norm proxy, snapshotted now: the baseline must keep
             # working even if every later reload is rolled back.
-            popularity = np.linalg.norm(
-                self.store.theta.astype(np.float64), axis=1
-            )
+            popularity = _row_norms(self.store.theta)
         self.fallback = PopularityFallback(popularity)
         self.queue = AdmissionQueue(
             QueueConfig(

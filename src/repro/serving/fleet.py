@@ -4,16 +4,20 @@ The single-process :class:`~repro.serving.engine.ServingEngine` bounds
 throughput by one GEMM stream and bounds availability by one process:
 a stalled or dying scorer takes the whole top-k path with it.  This
 module serves through forked workers supervised by
-:mod:`repro.runtime.supervisor` — the fork context, reply awaiting,
-shared-memory segments and backoff it shares with
+:mod:`repro.runtime.supervisor` — the fork context, reply awaiting
+and backoff it shares with
 :class:`repro.runtime.executor.ShardExecutor` — and adds the fleet's
 own policy on top:
 
-* **workers** — N scoring processes forked at construction.  The factor
-  matrices live in shared memory (staged once per model version); the
-  retrieval index and every other read-only structure crosses the fork
-  boundary copy-on-write, so a worker costs no pickling on the hot
-  path.  Each worker runs the existing
+* **workers** — N scoring processes forked at construction over the
+  store's own factor matrices.  Those live in anonymous shared memory
+  (:class:`~repro.serving.reload.ModelStore`), so the driver and every
+  worker read one resident copy; the retrieval index and every other
+  read-only structure crosses the fork boundary copy-on-write, so a
+  worker costs no pickling on the hot path.  A
+  :meth:`~repro.serving.reload.ModelStore.apply_delta` on the fleet's
+  store therefore shows up in live workers' factor reads, while their
+  index stays the fork-time snapshot.  Each worker runs the existing
   :class:`~repro.serving.batcher.MicroBatcher` stack and receives
   work over a duplex pipe as plain picklable
   :class:`~repro.serving.queue.Request` lists.
@@ -210,10 +214,6 @@ class FleetEngine(ServingEngine):
         #: backoff and the abandon decision, so a worker that keeps
         #: dying backs off harder while one that recovered starts fresh.
         self._strikes = [0] * self.fleet.workers
-        self._shm = supervisor.SharedSegments()
-        #: Fork context of every worker: (x, theta) views of the staged
-        #: factors plus the index snapshot.
-        self._ctx: tuple | None = None
         self._next_task = 0
         self._ping_seq = 0
         self._fleet_faults = 0
@@ -228,7 +228,6 @@ class FleetEngine(ServingEngine):
         if not supervisor.fork_available():
             self._latch_inline(self.tick_now, "fork start method unavailable")
             return
-        self._stage_factors()
         for wid in range(self.fleet.workers):
             self._spawn(wid)
             self.health.record(
@@ -237,19 +236,14 @@ class FleetEngine(ServingEngine):
 
     # -- pool lifecycle -----------------------------------------------------
 
-    def _stage_factors(self) -> None:
-        """(Re)stage the served factors into shared memory for workers."""
-        self._ctx = None  # drop the old views before blocks are reused
-        x = self._shm.array("x", self.store.x.shape)
-        theta = self._shm.array("theta", self.store.theta.shape)
-        x[:] = self.store.x
-        theta[:] = self.store.theta
-        index = self.store.index if self.store.index_current else None
-        self._ctx = (x, theta, index)
-
     def _spawn(self, wid: int) -> None:
+        """Fork slot ``wid`` over the served factors and current index."""
+        index = self.store.index if self.store.index_current else None
         self._workers[wid] = supervisor.fork_worker(
-            _fleet_worker_main, (wid,), self._ctx, duplex=True
+            _fleet_worker_main,
+            (wid,),
+            (self.store.x, self.store.theta, index),
+            duplex=True,
         )
 
     def _respawn(self, wid: int, tick: int, detail: str) -> bool:
@@ -332,15 +326,8 @@ class FleetEngine(ServingEngine):
             self._reap(wid)
 
     def close(self) -> None:
-        """Stop the pool and release shared-memory factor staging.
-
-        Idempotent, and each segment is unlinked exactly once even when
-        ``close()`` races ``__del__`` (see
-        :class:`~repro.runtime.supervisor.SharedSegments`).
-        """
+        """Stop the pool (idempotent)."""
         self._stop_workers()
-        self._ctx = None
-        self._shm.close()
 
     def __enter__(self) -> "FleetEngine":
         return self
@@ -652,17 +639,15 @@ class FleetEngine(ServingEngine):
     # -- hot reload ---------------------------------------------------------
 
     def reload(self, path: str | os.PathLike):
-        """Swap the model fleet-wide: restage shm + respawn on success.
+        """Swap the model fleet-wide: respawn every worker on success.
 
-        The workers' factor views point at the staged shared memory and
-        their index is a fork-time snapshot, so an installed swap means
-        a new staging generation: every live worker is replaced with
-        one forked against the new context.  Rollbacks and no-ops touch
-        nothing.
+        A swap installs new factor arrays and a new index, while each
+        worker holds the ones it was forked over, so every live worker
+        is replaced with one forked over the new model.  Rollbacks and
+        no-ops touch nothing.
         """
         outcome = super().reload(path)
         if outcome.status == "swapped" and self._pool_active():
-            self._stage_factors()
             tick = self.tick_now
             for wid in range(self.fleet.workers):
                 if self._workers[wid] is None:

@@ -322,11 +322,13 @@ class ItemIndex:
         }
 
 
-#: Row-block size of the assignment GEMM.  One monolithic
-#: ``(n_items, ncells)`` score matrix runs hundreds of MB on bench-size
-#: catalogues and measures >10x slower than streaming row blocks
-#: through a scratch buffer that stays cache-warm.
-_ASSIGN_CHUNK = 32768
+#: Row-block size of every catalogue-wide pass: the assignment GEMM,
+#: the final centroid/radius pass and the catalogue draw.  One
+#: monolithic ``(n_items, ncells)`` score matrix runs hundreds of MB on
+#: bench-size catalogues and measures >10x slower than streaming row
+#: blocks through a scratch buffer that stays cache-warm; a block keeps
+#: each pass's temporaries a few MB, far below the arrays it produces.
+_ROW_BLOCK = 8192
 
 
 def _assign(theta: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -340,9 +342,9 @@ def _assign(theta: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     half = 0.5 * np.einsum("cf,cf->c", c32, c32)
     n = theta.shape[0]
     out = np.empty(n, dtype=np.intp)
-    scratch = np.empty((min(n, _ASSIGN_CHUNK), c32.shape[0]), dtype=np.float32)
-    for lo in range(0, n, _ASSIGN_CHUNK):
-        hi = min(lo + _ASSIGN_CHUNK, n)
+    scratch = np.empty((min(n, _ROW_BLOCK), c32.shape[0]), dtype=np.float32)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
         scores = scratch[: hi - lo]
         np.matmul(theta[lo:hi], c32.T, out=scores)
         scores -= half
@@ -357,6 +359,52 @@ def _group(assign: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray]:
         assign[perm], np.arange(ncells + 1), side="left"
     ).astype(np.int64)
     return perm, cell_ptr
+
+
+def _cell_blocks(cell_ptr: np.ndarray, rows: int) -> list[tuple[int, int]]:
+    """Consecutive cell ranges ``[c0, c1)`` of at most ``rows`` items
+    each; a cell larger than ``rows`` is a range of its own."""
+    ncells = cell_ptr.shape[0] - 1
+    blocks = []
+    c0 = 0
+    while c0 < ncells:
+        c1 = int(np.searchsorted(cell_ptr, cell_ptr[c0] + rows, side="right")) - 1
+        c1 = max(c1, c0 + 1)
+        blocks.append((c0, c1))
+        c0 = c1
+    return blocks
+
+
+def _finalize_cells(
+    theta_perm: np.ndarray, cell_ptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 centroids (member means) and radii (max member distance
+    to the mean) of every cell, 0 for empty cells.
+
+    Runs over blocks of whole cells, so its float64 temporaries stay a
+    block in size; each cell's arithmetic is the same as over the whole
+    catalogue at once.
+    """
+    ncells = cell_ptr.shape[0] - 1
+    counts = np.diff(cell_ptr)
+    centers64 = np.zeros((ncells, theta_perm.shape[1]), dtype=np.float64)
+    radii = np.zeros(ncells, dtype=np.float32)
+    for c0, c1 in _cell_blocks(cell_ptr, _ROW_BLOCK):
+        lo, hi = int(cell_ptr[c0]), int(cell_ptr[c1])
+        if hi == lo:
+            continue  # only empty cells
+        cnt = counts[c0:c1]
+        nonempty = np.flatnonzero(cnt > 0)
+        starts = cell_ptr[c0:c1][nonempty] - lo
+        block = theta_perm[lo:hi].astype(np.float64)
+        sums = np.add.reduceat(block, starts, axis=0)
+        centers64[c0 + nonempty] = sums / cnt[nonempty, None]
+        block -= np.repeat(centers64[c0:c1], cnt, axis=0)
+        dist = np.sqrt(np.einsum("nf,nf->n", block, block))
+        radii[c0 + nonempty] = np.maximum.reduceat(dist, starts).astype(
+            np.float32
+        )
+    return centers64.astype(np.float32), radii
 
 
 def _locality_order(centroids: np.ndarray) -> np.ndarray:
@@ -467,26 +515,9 @@ def build_index(
     assign = _assign(theta, centroids)
     perm, cell_ptr = _group(assign, ncells)
     theta_perm = np.ascontiguousarray(theta[perm])
-    counts = np.diff(cell_ptr)
     # Final centroids are the means of the final assignment (float32
     # for the probe GEMV), radii the max member distance per cell.
-    centers64 = np.zeros((ncells, theta.shape[1]), dtype=np.float64)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        sums = np.add.reduceat(
-            theta_perm.astype(np.float64), cell_ptr[nonempty], axis=0
-        )
-        centers64[nonempty] = sums / counts[nonempty, None]
-    centroids32 = centers64.astype(np.float32)
-    diff = theta_perm.astype(np.float64) - np.repeat(
-        centers64, counts, axis=0
-    )
-    dist = np.sqrt(np.einsum("nf,nf->n", diff, diff))
-    radii = np.zeros(ncells, dtype=np.float32)
-    if nonempty.size:
-        radii[nonempty] = np.maximum.reduceat(dist, cell_ptr[nonempty]).astype(
-            np.float32
-        )
+    centroids32, radii = _finalize_cells(theta_perm, cell_ptr)
 
     nprobe = cfg.nprobe if cfg.nprobe is not None else default_nprobe(ncells)
     return ItemIndex(
@@ -519,6 +550,9 @@ def clustered_catalog(
     (``spread`` · unit noise), which is the structure that makes IVF
     probing meaningful — and what the bench and VF110 measure recall
     on.  Returns float32 ``x (n_users, f)`` and ``theta (n_items, f)``.
+    The noise is drawn in float64 one row block at a time, straight
+    into the float32 outputs; the stream is the one a single draw of
+    each matrix takes, so the bytes do not depend on the block size.
     """
     if min(n_users, n_items, f, clusters) < 1:
         raise ValueError("n_users, n_items, f and clusters must be >= 1")
@@ -528,8 +562,30 @@ def clustered_catalog(
     centers = rng.normal(0.0, 1.0, (clusters, f))
     item_cluster = rng.integers(0, clusters, size=n_items)
     user_cluster = rng.integers(0, clusters, size=n_users)
-    theta = centers[item_cluster] + spread * rng.normal(
-        0.0, 1.0, (n_items, f)
-    )
-    x = centers[user_cluster] + spread * rng.normal(0.0, 1.0, (n_users, f))
-    return x.astype(np.float32), theta.astype(np.float32)
+    theta = _scatter(rng, centers, item_cluster, spread)
+    x = _scatter(rng, centers, user_cluster, spread)
+    return x, theta
+
+
+def _scatter(
+    rng: np.random.Generator,
+    centers: np.ndarray,
+    cluster: np.ndarray,
+    spread: float,
+) -> np.ndarray:
+    """``centers[cluster] + spread * N(0, 1)`` as float32, by row block."""
+    n, f = cluster.shape[0], centers.shape[1]
+    out = np.empty((n, f), dtype=np.float32)
+    near = np.empty((min(n, _ROW_BLOCK), f), dtype=np.float64)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        noise = rng.normal(0.0, 1.0, (hi - lo, f))
+        noise *= spread
+        # mode="clip" writes straight into ``near``; "raise" would stage
+        # a bounds-checked copy, and every id is below ``clusters``.
+        noise += np.take(
+            centers, cluster[lo:hi], axis=0, out=near[: hi - lo], mode="clip"
+        )
+        out[lo:hi] = noise
+        del noise  # free the block before the next draw allocates one
+    return out

@@ -25,7 +25,10 @@ persistence-v2 / checkpoint artifact:
 
 Reads are plain attribute access (the GIL makes the reference swap
 atomic for the in-process engine); ``version`` increments only on a
-real swap, which is what lets the stale cache date its entries.
+real swap, which is what lets the stale cache date its entries.  The
+installed factors are the process's one resident copy, kept in
+anonymous shared memory (:func:`repro.runtime.supervisor.shared_copy`)
+so the fleet's forked workers read these very pages.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..persistence import load_factors
+from ..runtime import supervisor
 from ..streaming.delta import state_digest
 from .health import ServingHealth
 from .index import IndexConfig, ItemIndex, build_index
@@ -157,8 +161,9 @@ class ModelStore:
             self._record(health, "reload.noop", tick, outcome.detail)
             return outcome
 
-        self._x = x
-        self._theta = theta
+        self._x = supervisor.shared_copy(x)
+        self._theta = supervisor.shared_copy(theta)
+        del x, theta  # the loaded copies, before the index build
         self.version += 1
         self.digest = digest
         self.path = path

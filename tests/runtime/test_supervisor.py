@@ -7,10 +7,13 @@ per-test timeout instead of wedging CI.
 
 import os
 import signal
+import subprocess
+import sys
 import time
-from multiprocessing import shared_memory
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.runtime import supervisor
@@ -68,6 +71,28 @@ class TestAwaitReplies:
         assert fault is None
         assert reply == ("ok", "ctx")
 
+    def test_reply_sent_while_the_scan_runs_is_not_a_death(self, monkeypatch):
+        # The worker is alive when the scan reads its liveness, then
+        # replies and exits before the scan would re-read it: the reply
+        # must be collected on the next scan, not lost as NO_RESULT.
+        worker = supervisor.fork_worker(_reply_and_exit, (), "ctx")
+        worker.proc.join(timeout=30)
+        assert not worker.proc.is_alive()
+        proc = worker.proc
+        answers = iter([True])
+        worker.proc = SimpleNamespace(
+            is_alive=lambda: next(answers, False),
+            kill=proc.kill,
+            join=proc.join,
+        )
+        monkeypatch.setattr(
+            supervisor, "connection", SimpleNamespace(wait=lambda conns, timeout: [])
+        )
+        [(_, _, reply, fault)] = await_all({0: worker})
+        worker.reap()
+        assert fault is None
+        assert reply == ("ok", "ctx")
+
     def test_death_surfaces_as_pipe_eof_and_is_reaped(self):
         worker = supervisor.fork_worker(_die_silently, (), None)
         worker.deadline = time.monotonic() + 30
@@ -115,44 +140,111 @@ def test_fork_context_outside_a_worker_raises():
         supervisor.fork_context()
 
 
+def _fill_shared(conn) -> None:
+    for array in supervisor.fork_context():
+        array[...] = 7.0
+    conn.send("filled")
+    conn.close()
+
+
 class TestSharedSegments:
-    @pytest.mark.filterwarnings("error")
     def test_grow_only_reuse_and_close(self):
         segs = supervisor.SharedSegments()
         a = segs.array("out", (4, 3))
         a[:] = 1.0
-        first = segs["out"].name
-        del a
-        segs.array("out", (2, 3))  # fits: same block
-        assert segs["out"].name == first
-        segs.array("out", (8, 3))  # grows: the old block is unlinked
-        grown = segs["out"].name
-        assert grown != first
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=first)
+        first = segs["out"]
+        b = segs.array("out", (2, 3))  # fits: same block
+        assert segs["out"] is first
+        assert np.shares_memory(a, b)
+        c = segs.array("out", (8, 3))  # grows: a new block
+        assert segs["out"] is not first
+        assert not np.shares_memory(a, c)
         segs.close()
         assert segs == {}
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=grown)
+        segs.close()  # idempotent
+        assert segs == {}
+        # A view outlives the map: it holds its own mapping.
+        assert a.sum() == 12.0
+        c[:] = 2.0
 
-    @pytest.mark.filterwarnings("error")
-    def test_close_racing_del_unlinks_each_segment_once(self, monkeypatch):
+    @needs_fork
+    def test_blocks_are_shared_with_forked_workers(self):
         segs = supervisor.SharedSegments()
-        for name in ("x", "theta"):
-            segs.array(name, (3, 2))
-        unlinked = []
-        real_unlink = shared_memory.SharedMemory.unlink
-
-        def counting_unlink(blk):
-            unlinked.append(blk.name)
-            # An owner's __del__ firing mid-teardown re-enters close().
-            segs.close()
-            real_unlink(blk)
-
-        monkeypatch.setattr(shared_memory.SharedMemory, "unlink", counting_unlink)
+        out = segs.array("out", (5, 2))
+        out[:] = 0.0
+        copy = supervisor.shared_copy(np.arange(6, dtype=np.float64))
+        assert copy.dtype == np.float64
+        worker = supervisor.fork_worker(_fill_shared, (), (out, copy))
+        worker.deadline = time.monotonic() + 30
+        [(_, _, reply, fault)] = await_all({0: worker})
+        worker.reap()
+        assert (reply, fault) == ("filled", None)
+        assert np.all(out == 7.0)
+        assert np.all(copy == 7.0)
         segs.close()
-        segs.close()
-        assert sorted(unlinked) == sorted(set(unlinked))
-        assert len(unlinked) == 2
-        assert segs == {}
 
+
+_NO_NAMED_SEGMENTS = """
+import os
+import tempfile
+from multiprocessing import resource_tracker
+
+import numpy as np
+
+from repro.core.als import ALSModel
+from repro.core.config import ALSConfig, CGConfig
+from repro.data import SyntheticConfig, generate_ratings
+from repro.persistence import save_model
+from repro.runtime import RuntimePlan, ShardExecutor
+from repro.serving.fleet import FleetConfig, FleetEngine
+
+ratings = generate_ratings(SyntheticConfig(m=80, n=30, nnz=900, seed=5))
+rng = np.random.default_rng(1)
+theta = rng.normal(0, 0.1, (30, 12)).astype(np.float32)
+warm = rng.normal(0, 0.1, (80, 12)).astype(np.float32)
+with ShardExecutor(RuntimePlan(shards=2, workers=2)) as executor:
+    executor.half_step(
+        ratings, theta, warm, lam=0.08, cg_config=CGConfig(max_iters=5)
+    )
+    assert executor._shm
+
+model = ALSModel(ALSConfig(f=12, seed=0))
+model.x_, model.theta_ = warm, theta
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.npz")
+    save_model(path, model)
+    with FleetEngine(path, fleet=FleetConfig(workers=2)) as fleet:
+        rid = fleet.submit(user=3, k=4)
+        fleet.run_until_drained()
+        assert rid in fleet.results
+
+assert resource_tracker._resource_tracker._pid is None, "tracker started"
+print("ok")
+"""
+
+
+def _named_segments() -> set:
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:
+        return set()
+
+
+@needs_fork
+def test_pool_and_fleet_start_no_resource_tracker_and_name_no_segment():
+    before = _named_segments()
+    env = dict(os.environ)
+    src = str(Path(supervisor.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NAMED_SEGMENTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+    assert _named_segments() <= before

@@ -224,8 +224,8 @@ class TestTeardown:
         fleet = make_fleet(model_path, workers=2)
         procs = [h.proc for h in fleet._workers]
         fleet.close()
-        assert fleet._shm == {}
         assert all(not p.is_alive() for p in procs)
+        assert fleet._workers == [None, None]
         fleet.close()  # second close is a no-op
         assert fleet.stats()["fleet_live_workers"] == 0
 
