@@ -34,6 +34,7 @@ __all__ = [
     "InjectedWorkerKill",
     "NumericalFault",
     "SERVING_FAULT_KINDS",
+    "SolverFaultHook",
     "account",
     "expected_fault_events",
     "expected_serving_faults",
@@ -318,49 +319,68 @@ def solver_fault_hook(
     attempt: int,
     row_offset: int,
     events: list,
-):
-    """Build the CG-store corruption hook for one shard, or ``None``.
+    *,
+    num_lanes: int,
+) -> SolverFaultHook | None:
+    """Build the CG-store corruption of one shard, or ``None``.
 
-    The returned callable receives the solver's *staged* A batch (the
-    FP16-emulating store, never the caller's pristine matrices) and
-    corrupts deterministic victim lanes in place — NaN for the bit-rot
-    model, ±inf for the unclipped-FP16-overflow model.  The pristine
-    inputs stay intact, which is what makes the guard ladder's
-    quarantine-and-re-solve rung able to repair the damage.
+    The victim lanes are drawn over the shard's ``num_lanes`` rows, so
+    they do not depend on how the executor batches those rows for the
+    solver; :meth:`SolverFaultHook.block` hands each solver batch the
+    corruption of the victims it holds.  The events (with the global
+    ``lanes``, ``row_offset`` + victim) are recorded here, once per
+    shard, in kind order: a shard that raises before its solve ends
+    drops its events anyway.
     """
-    nan_fires = plan.fires("fault.nan-flip", step, shard, attempt=attempt)
-    ovf_fires = plan.fires("fault.fp16-overflow", step, shard, attempt=attempt)
-    if not (nan_fires or ovf_fires):
-        return None
+    victims = tuple(
+        (kind, plan.victim_lane(kind, step, shard, num_lanes=num_lanes))
+        for kind in ("fault.nan-flip", "fault.fp16-overflow")
+        if plan.fires(kind, step, shard, attempt=attempt)
+    )
+    for kind, lane in victims:
+        events.append(
+            {
+                "kind": kind,
+                "step": step,
+                "shard": shard,
+                "attempt": attempt,
+                "lanes": [row_offset + lane],
+            }
+        )
+    return SolverFaultHook(victims) if victims else None
 
-    def corrupt(store: np.ndarray) -> None:
-        num = store.shape[0]
-        if num < 1:
-            return
-        if nan_fires:
-            lane = plan.victim_lane("fault.nan-flip", step, shard, num_lanes=num)
-            store[lane] = np.nan
-            events.append(
-                {
-                    "kind": "fault.nan-flip",
-                    "step": step,
-                    "shard": shard,
-                    "attempt": attempt,
-                    "lanes": [row_offset + lane],
-                }
-            )
-        if ovf_fires:
-            lane = plan.victim_lane("fault.fp16-overflow", step, shard, num_lanes=num)
-            store[lane] = np.inf
-            store[lane, ::2] = -np.inf  # signed overflow, both directions
-            events.append(
-                {
-                    "kind": "fault.fp16-overflow",
-                    "step": step,
-                    "shard": shard,
-                    "attempt": attempt,
-                    "lanes": [row_offset + lane],
-                }
-            )
 
-    return corrupt
+@dataclass(frozen=True)
+class SolverFaultHook:
+    """One shard's staged-store corruption: ``(kind, shard-local lane)`` pairs.
+
+    The solver hands the hook its *staged* A batch (the FP16-emulating
+    store, never the caller's pristine matrices), and the hook corrupts
+    its victim lanes in place — NaN for the bit-rot model, ±inf for the
+    unclipped-FP16-overflow model.  The pristine inputs stay intact,
+    which is what makes the guard ladder's quarantine-and-re-solve rung
+    able to repair the damage.
+    """
+
+    victims: tuple[tuple[str, int], ...]
+
+    def block(self, start: int, stop: int):
+        """The ``fault_hook`` for the solver batch of shard rows
+        ``[start, stop)``, or ``None`` when no victim lies there."""
+        hits = [
+            (kind, lane - start)
+            for kind, lane in self.victims
+            if start <= lane < stop
+        ]
+        if not hits:
+            return None
+
+        def corrupt(store: np.ndarray) -> None:
+            for kind, lane in hits:
+                if kind == "fault.nan-flip":
+                    store[lane] = np.nan
+                else:
+                    store[lane] = np.inf
+                    store[lane, ::2] = -np.inf  # signed overflow, both directions
+
+        return corrupt

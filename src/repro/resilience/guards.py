@@ -48,8 +48,17 @@ __all__ = [
     "NumericalFault",
     "check_factors_finite",
     "check_normal_equations",
+    "fold_ladder_events",
     "guarded_solve",
 ]
+
+#: The ladder's event kinds, in the order one guarded solve records them.
+_LADDER_KINDS = (
+    "guard.quarantine",
+    "guard.repair-fp32",
+    "guard.repair-lu",
+    "guard.unrepairable",
+)
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,36 @@ class GuardPolicy:
         """Method form of :func:`guarded_solve` (``policy=`` bound)."""
         return guarded_solve(A, b, warm, out, policy=self, **kwargs)
 
+    def fold_events(self, events: list[dict]) -> list[dict]:
+        """Method form of :func:`fold_ladder_events`."""
+        return fold_ladder_events(events)
+
 
 def _lane_list(row_offset: int, local: np.ndarray) -> tuple[int, ...]:
     return tuple(int(row_offset + i) for i in local)
+
+
+def _quarantine_detail(lanes: int) -> str:
+    return f"{lanes} lane(s) quarantined for re-solve"
+
+
+def fold_ladder_events(events: list[dict]) -> list[dict]:
+    """Fold the ladder events of consecutive row-block solves into one.
+
+    A shard solved in row blocks runs :func:`guarded_solve` once per
+    block.  Every ladder decision is per lane, so the shard's ladder is
+    the blocks' ladders side by side: one event per kind, in ladder
+    order, whose ``lanes`` are the blocks' lanes in block order — the
+    events one solve over all of the shard's rows records.
+    """
+    folded: dict[str, dict] = {}
+    for event in events:
+        merged = folded.setdefault(event["kind"], {**event, "lanes": []})
+        merged["lanes"] += event["lanes"]
+    quarantine = folded.get("guard.quarantine")
+    if quarantine is not None:
+        quarantine["detail"] = _quarantine_detail(len(quarantine["lanes"]))
+    return [folded[kind] for kind in _LADDER_KINDS if kind in folded]
 
 
 def check_normal_equations(
@@ -197,7 +233,7 @@ def guarded_solve(
             "shard": shard,
             "attempt": attempt,
             "lanes": [int(row_offset + i) for i in lanes],
-            "detail": f"{lanes.size} lane(s) quarantined for re-solve",
+            "detail": _quarantine_detail(lanes.size),
         }
     )
 

@@ -157,6 +157,11 @@ class Workspace:
                 f"borrowed {token})"
             )
 
+    def capacity(self, name: str) -> int:
+        """Bytes of ``name``'s backing buffer (0 if it holds none)."""
+        buf = self._buffers.get(name)
+        return 0 if buf is None else buf.nbytes
+
     @property
     def resident_bytes(self) -> int:
         """Bytes currently held by cached backing buffers."""

@@ -36,6 +36,7 @@ from ..core.config import CGConfig, Precision
 from ..core.hermitian import hermitian_and_bias
 from ..data.sparse import RatingMatrix
 from ..data.synthetic import SyntheticConfig, generate_ratings
+from .arena import Workspace
 from .executor import ShardExecutor
 from .plan import ORACLE_PLAN, RuntimePlan
 
@@ -198,25 +199,25 @@ def run_bench(
         replace(ORACLE_PLAN, shards=1, arena=False, compact_cg=False)
     )
 
-    # -- hermitian: legacy (seed defaults) vs the plan's kernel/chunk/arena -
+    # -- hermitian: legacy (seed defaults) vs the plan's kernel/chunk/arena.
+    # The micro legs run whole-matrix batches on arenas of their own, so
+    # the arena report below is the epoch executor's alone.
     legacy_herm = _best_of(
         cfg.repeats, lambda: hermitian_and_bias(data, theta, cfg.lam)
     )
-    executor.half_step(data, theta, x_warm, lam=cfg.lam, cg_config=cg_cfg)  # warm
-    A_opt = executor.workspace.request(
-        "bench.A", (cfg.m, cfg.f, cfg.f)
-    ) if executor.workspace is not None else np.empty(
-        (cfg.m, cfg.f, cfg.f), np.float32
-    )
+    herm_ws = Workspace() if plan.arena else None
+    A_opt = np.empty((cfg.m, cfg.f, cfg.f), np.float32)
     b_opt = np.empty((cfg.m, cfg.f), np.float32)
-    opt_herm = _best_of(
-        cfg.repeats,
-        lambda: hermitian_and_bias(
+
+    def opt_hermitian() -> None:
+        hermitian_and_bias(
             data, theta, cfg.lam,
             chunk_elems=plan.chunk_elems, method=plan.method,
-            workspace=executor.workspace, out=(A_opt, b_opt),
-        ),
-    )
+            workspace=herm_ws, out=(A_opt, b_opt),
+        )
+
+    opt_hermitian()  # warm the arena
+    opt_herm = _best_of(cfg.repeats, opt_hermitian)
 
     # -- CG: legacy (reference kernels, dense sweeps, fresh scratch) vs the
     # plan's solver (its backend + compaction on the arena) ---------------
@@ -229,7 +230,7 @@ def run_bench(
         ),
     )
     cg_out = np.empty_like(b_ref)
-    cg_ws = executor.workspace
+    cg_ws = Workspace() if plan.arena else None
     opt_cg = _best_of(
         cfg.repeats,
         lambda: cg_solve_batched(
@@ -283,16 +284,14 @@ def run_bench(
     legacy_epoch_s = _best_of(cfg.repeats, lambda: epoch(legacy))
     opt_epoch_s = _best_of(cfg.repeats, lambda: epoch(executor))
 
-    # -- steady-state allocation probe -------------------------------------
+    # -- steady-state allocation probe; scratch held by every lane --------
     steady_allocs = -1
-    resident = 0
-    peak_resident = 0
     if executor.workspace is not None:
         executor.workspace.reset_counters()
         epoch(executor)
         steady_allocs = executor.workspace.allocations
-        resident = executor.workspace.resident_bytes
-        peak_resident = executor.workspace.peak_resident_bytes
+    resident = sum(ws.resident_bytes for ws in executor.arenas)
+    peak_resident = sum(ws.peak_resident_bytes for ws in executor.arenas)
     executor.close()
     legacy.close()
 
@@ -348,7 +347,6 @@ def _bench_retrieval(cfg: BenchConfig) -> tuple[dict, int]:
     from ..serving.batcher import MicroBatcher
     from ..serving.index import IndexConfig, build_index, clustered_catalog
     from ..serving.queue import Request
-    from .arena import Workspace
 
     x, theta = clustered_catalog(
         cfg.retrieval_users,

@@ -21,12 +21,12 @@ the plain serial loop on the calling thread.
 
 Determinism is by construction, not by luck:
 
-* rows are never split across shards (and chunks never split rows), so
-  each row's A_u/b_u is formed from exactly its own entries in CSR
-  order whatever the shard/chunk geometry;
+* rows are never split across shards (nor by the solve blocks and
+  hermitian chunks within one), so each row's A_u/b_u is formed from
+  exactly its own entries in CSR order whatever the geometry;
 * the CG solver's per-system arithmetic is independent of how the batch
-  is grouped, so solving a shard's rows together or apart yields the
-  same bits;
+  is grouped, so solving a shard's rows together, block by block
+  (:data:`SOLVE_BLOCK_BYTES`) or apart yields the same bits;
 * shards write disjoint row ranges of the output, and the epoch-level
   accounting folds with order-independent reductions (``max`` of
   iterations, ``sum`` of matvecs);
@@ -77,7 +77,15 @@ from . import sanitizer, supervisor
 from .arena import Workspace
 from .plan import RuntimePlan, SupervisionPolicy, usable_cores
 
-__all__ = ["CsrView", "HalfStepResult", "LANE_MIN_NNZ", "ShardExecutor", "partition_rows"]
+__all__ = [
+    "CsrView",
+    "HalfStepResult",
+    "LANE_MIN_NNZ",
+    "SOLVE_BLOCK_BYTES",
+    "ShardExecutor",
+    "block_rows",
+    "partition_rows",
+]
 
 #: Ratings per half-step that each in-process lane must have to earn its
 #: thread.  NumPy holds the GIL through small operations, so lanes over
@@ -86,6 +94,18 @@ __all__ = ["CsrView", "HalfStepResult", "LANE_MIN_NNZ", "ShardExecutor", "partit
 #: ~64K (the netflix surrogate's 216K: 0.44 → 0.34 s per fit), while
 #: streaming fold-ins stay under ~6K.
 LANE_MIN_NNZ = 25_000
+
+#: Bytes of normal equations (A at f·f float32 per row) one solve block
+#: holds: each shard is formed and solved in blocks of
+#: :func:`block_rows` rows, so a lane's scratch — A and b, the
+#: FP16-staged copy of A, the direct solver's float64 copies — no longer
+#: grows with the row count.  A fresh-process default fit on the netflix
+#: surrogate (f=32, two lanes, 2 vCPUs with 2 MiB of L2 each) peaked at
+#: 196 MB with whole-shard batches, 188 MB at 16 MiB blocks, 148 MB at
+#: 8 MiB and 127 MB at 4 MiB, which is the data load's own peak.  Fit
+#: time at 4 MiB stayed within the run-to-run noise; 2 MiB and 1 MiB
+#: blocks were slower (median 0.26 and 0.32 s against 0.20 s).
+SOLVE_BLOCK_BYTES = 4 << 20
 
 
 def partition_rows(row_ptr: np.ndarray, num_parts: int) -> list[tuple[int, int]]:
@@ -189,6 +209,11 @@ class _HalfStep:
     step: int
 
 
+def block_rows(f: int) -> int:
+    """Rows per solve block at factor width ``f`` (1,024 at f=32)."""
+    return max(1, SOLVE_BLOCK_BYTES // (f * f * 4))
+
+
 def _compute_shard(
     job: _HalfStep,
     out: np.ndarray,
@@ -201,32 +226,87 @@ def _compute_shard(
 ) -> tuple[int, int, list]:
     """Form and solve rows [lo, hi), writing ``out[lo:hi]`` in place.
 
+    The shard runs as contiguous blocks of :func:`block_rows` rows.
+    Each block goes gather → hermitian into block-sized arena buffers →
+    staging → CG (or the direct solve) into its rows of ``out`` before
+    the next block starts, so a lane's scratch is O(block), not
+    O(shard rows).  Rows are never split and a row's solve does not
+    depend on the other rows of its batch, so the blocking changes no
+    bit: the shard's ``cg_iterations`` is the max over its blocks, its
+    matvec count their sum, and its health events those of one solve
+    (the fault hook is drawn once per shard, the blocks' guard-ladder
+    events are folded into one per kind).  Only a raised
+    :class:`~repro.resilience.faults.NumericalFault` sees the blocking:
+    it names the bad rows of the first block that holds any.
+
     ``solo`` says no other shard writes ``out`` concurrently (one lane,
     not forked), which is when the sanitizer's outside-slice witness is
     sound.  Returns ``(cg_iterations, matvec_count, health_events)`` —
     the event list is empty unless faults or guards were active on this
     shard.
     """
-    num = hi - lo
     events: list = []
-    if num == 0:
+    if hi == lo:
         return 0, 0, events
     if job.faults is not None:
         inject_shard_start(
             job.faults, job.step, shard, attempt, forked=forked, events=events
         )
-    f = job.fixed.shape[1]
-    plan = job.plan
-    ws = job.workspace
     san = sanitizer.enabled()
+    witness = None
     if san:
         sanitizer.check_shard_bounds(
             lo, hi, out.shape[0], context="_compute_shard"
         )
+        if solo and not forked:
+            # the outside-slice snapshot is only sound with one writer:
+            # other lanes or pool workers legitimately write those rows
+            witness = sanitizer.SliceWitness(out, lo, hi)
+    hook = None
+    if job.faults is not None and job.solver is SolverKind.CG:
+        hook = solver_fault_hook(
+            job.faults, job.step, shard, attempt, lo, events, num_lanes=hi - lo
+        )
+    ladder: list = []  # the blocks' guard-ladder events, folded below
+    iterations = matvecs = 0
+    block = block_rows(job.fixed.shape[1])
+    for s in range(lo, hi, block):
+        e = min(s + block, hi)
+        block_hook = None if hook is None else hook.block(s - lo, e - lo)
+        it, mv = _solve_block(job, out, s, e, shard, attempt, block_hook, ladder)
+        iterations = max(iterations, it)
+        matvecs += mv
+    if ladder:
+        events.extend(job.guard.fold_events(ladder))
+    if witness is not None:
+        witness.verify(context="_compute_shard")
+    return iterations, matvecs, events
+
+
+def _solve_block(
+    job: _HalfStep,
+    out: np.ndarray,
+    lo: int,
+    hi: int,
+    shard: int,
+    attempt: int,
+    hook,
+    ladder: list,
+) -> tuple[int, int]:
+    """Form and solve one block, rows [lo, hi) of a shard, into ``out[lo:hi]``.
+
+    ``hook`` is the block's staged-store corruption (or ``None``);
+    guard-ladder events go to ``ladder``.  Returns ``(cg_iterations,
+    matvec_count)``.
+    """
+    f = job.fixed.shape[1]
+    plan = job.plan
+    ws = job.workspace
+    san = sanitizer.enabled()
     ab_out = None
     ab_tokens = None
     if ws is not None:
-        ab_out = (ws.request("exec.A", (num, f, f)), ws.request("exec.b", (num, f)))
+        ab_out = (ws.request("exec.A", (hi - lo, f, f)), ws.request("exec.b", (hi - lo, f)))
         if san:
             ab_tokens = (ws.generation("exec.A"), ws.generation("exec.b"))
     A, b = hermitian_rows(
@@ -252,27 +332,17 @@ def _compute_shard(
         guard.check_normal(A, b, row_offset=lo)
     rows_out = out[lo:hi]
     warm_rows = None if job.warm is None else job.warm[lo:hi]
-    witness = None
     if san:
         if ws is not None and ab_tokens is not None:
-            ws.check_current("exec.A", ab_tokens[0], context="_compute_shard")
-            ws.check_current("exec.b", ab_tokens[1], context="_compute_shard")
+            ws.check_current("exec.A", ab_tokens[0], context="_solve_block")
+            ws.check_current("exec.b", ab_tokens[1], context="_solve_block")
         # warm may alias out BY DESIGN (ALS warm-starts from the previous
         # factors living in the very buffer being overwritten; the solver
         # consumes x0 before writing out) — A and b must not.
         sanitizer.check_no_overlap("out[lo:hi]", rows_out, [("A", A), ("b", b)])
-        if solo and not forked:
-            # the outside-slice snapshot is only sound with one writer:
-            # other lanes or pool workers legitimately write those rows
-            witness = sanitizer.SliceWitness(out, lo, hi)
     if job.solver is SolverKind.CG:
-        hook = None
-        if job.faults is not None:
-            hook = solver_fault_hook(
-                job.faults, job.step, shard, attempt, lo, events
-            )
         if guard is not None:
-            it, mv = guard.solve(
+            return guard.solve(
                 A,
                 b,
                 warm_rows,
@@ -287,11 +357,8 @@ def _compute_shard(
                 step=job.step,
                 shard=shard,
                 attempt=attempt,
-                events=events,
+                events=ladder,
             )
-            if witness is not None:
-                witness.verify(context="_compute_shard (guarded solve)")
-            return it, mv, events
         result = cg_solve_batched(
             A,
             b,
@@ -304,16 +371,12 @@ def _compute_shard(
             out=rows_out,
             fault_hook=hook,
         )
-        if witness is not None:
-            witness.verify(context="_compute_shard (cg solve)")
-        return result.iterations, result.matvec_count, events
+        return result.iterations, result.matvec_count
     solve = cholesky_solve_batched if job.direct == "cholesky" else lu_solve_batched
     np.copyto(rows_out, solve(A, b))
     if guard is not None:
         guard.check_factors(rows_out, stage="direct-solve", row_offset=lo)
-    if witness is not None:
-        witness.verify(context="_compute_shard (direct solve)")
-    return 0, 0, events
+    return 0, 0
 
 
 def _shard_worker(lo: int, hi: int, shard: int, attempt: int, conn) -> None:
@@ -348,8 +411,9 @@ class ShardExecutor:
 
     The executor owns the long-lived resources the plan needs: one
     workspace arena per in-process lane (so scratch survives across
-    chunks, shards and epochs; :attr:`workspace` is lane 0's and counts
-    every lane's allocations), the lane threads, and one persistent
+    chunks, blocks, shards and epochs; :attr:`workspace` is lane 0's
+    and counts every lane's allocations, :attr:`arenas` lists them
+    all), the lane threads, and one persistent
     output buffer per factor ``key`` (so the solved factors land in
     place instead of a fresh allocation per half-step).  The returned
     ``factors`` array is that persistent buffer: it stays valid until
@@ -410,6 +474,14 @@ class ShardExecutor:
 
     # -- resource management ------------------------------------------------
 
+    @property
+    def arenas(self) -> list[Workspace]:
+        """Every lane's arena, lane 0's (:attr:`workspace`) first; empty
+        for a plan without an arena."""
+        if self.workspace is None:
+            return []
+        return [self.workspace, *self._lane_arenas]
+
     def _output(self, key: str, shape: tuple[int, int]) -> np.ndarray:
         buf = self._outputs.get(key)
         if buf is None or buf.shape != shape:
@@ -424,12 +496,11 @@ class ShardExecutor:
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None
-        for ws in [self.workspace, *self._lane_arenas]:
-            if ws is not None:
-                try:
-                    ws.release()
-                except Exception:
-                    pass
+        for ws in self.arenas:
+            try:
+                ws.release()
+            except Exception:
+                pass
         self._lane_arenas.clear()
 
     def __enter__(self) -> "ShardExecutor":

@@ -140,9 +140,9 @@ class TestInjection:
     def test_solver_hook_corrupts_victim_lane_only(self):
         plan = FaultPlan(seed=0, nan_rate=1.0)
         events = []
-        hook = solver_fault_hook(plan, 0, 0, 0, 10, events)
+        hook = solver_fault_hook(plan, 0, 0, 0, 10, events, num_lanes=4)
         store = np.ones((4, 3, 3), dtype=np.float32)
-        hook(store)
+        hook.block(0, 4)(store)
         bad = ~np.isfinite(store).all(axis=(1, 2))
         assert bad.sum() == 1
         (event,) = events
@@ -152,15 +152,34 @@ class TestInjection:
     def test_overflow_hook_flips_signs(self):
         plan = FaultPlan(seed=0, overflow_rate=1.0)
         events = []
-        hook = solver_fault_hook(plan, 0, 0, 0, 0, events)
+        hook = solver_fault_hook(plan, 0, 0, 0, 0, events, num_lanes=2)
         store = np.ones((2, 4, 4), dtype=np.float32)
-        hook(store)
+        hook.block(0, 2)(store)
         lane = events[0]["lanes"][0]
         assert np.all(np.isinf(store[lane]))
         assert (store[lane] < 0).any() and (store[lane] > 0).any()
 
     def test_quiet_plan_returns_no_hook(self):
-        assert solver_fault_hook(FaultPlan(seed=0), 0, 0, 0, 0, []) is None
+        assert solver_fault_hook(FaultPlan(seed=0), 0, 0, 0, 0, [], num_lanes=4) is None
+
+    def test_hook_corrupts_only_the_block_holding_the_victim(self):
+        """The victim is drawn over the shard's rows; a solver batch of
+        part of those rows gets the corruption only if it holds it."""
+        plan = FaultPlan(seed=0, nan_rate=1.0)
+        events = []
+        hook = solver_fault_hook(plan, 0, 0, 0, 100, events, num_lanes=6)
+        (event,) = events
+        victim = event["lanes"][0] - 100
+        corrupted = []
+        for start in range(0, 6, 2):
+            block = hook.block(start, start + 2)
+            if block is None:
+                continue
+            store = np.ones((2, 3, 3), dtype=np.float32)
+            block(store)
+            bad = np.flatnonzero(~np.isfinite(store).all(axis=(1, 2)))
+            corrupted.extend(start + int(i) for i in bad)
+        assert corrupted == [victim]
 
 
 class TestNumericalFault:

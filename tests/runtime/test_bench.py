@@ -1,10 +1,12 @@
 """Tests for the perf-regression bench harness and its baseline gate."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import repro.runtime.executor as executor_module
 from repro.runtime import RuntimePlan
 from repro.runtime.bench import (
     BASELINE_SCHEMA,
@@ -100,6 +102,18 @@ class TestRunBench:
             result["arena"]["resident_bytes"]
         )
         assert result["arena"]["retrieval_steady_state_allocations"] == 0
+
+    def test_arena_report_holds_the_epoch_executors_scratch_only(
+        self, monkeypatch
+    ):
+        """The micro legs' whole-matrix buffers (one A per row, full-batch
+        CG scratch) live in arenas of their own: at 16-row solve blocks
+        the reported peak stays below one full A."""
+        cfg = dataclasses.replace(TINY, f=32)
+        f = cfg.f
+        monkeypatch.setattr(executor_module, "SOLVE_BLOCK_BYTES", 16 * f * f * 4)
+        arena = run_bench(cfg, workers=0)["arena"]
+        assert 0 < arena["peak_resident_bytes"] < cfg.m * f * f * 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
